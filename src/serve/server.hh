@@ -4,9 +4,10 @@
  *
  * A Server owns a set of tenant snapshot windows, a bounded query
  * queue with admission control, and a re-entrant inference runner
- * whose PlanCache is the serving cache tier: a query on a quiet
- * tenant is "plan-cache hit + execute", and only a window roll (new
- * snapshot materialized) forces a replan — which the delta-incremental
+ * whose PlanCache is the serving cache tier. A query on a quiet
+ * tenant is answered from that tenant's last result (see "Result
+ * reuse" below) and executes nothing; only a window roll (new
+ * snapshot materialized) forces a replan, which the delta-incremental
  * digest cache then keeps cheap.
  *
  * Two entry modes share all tenant/admission logic:
@@ -34,6 +35,29 @@
  * group plans (and publishes) first, and the rest execute afterwards
  * as guaranteed hits. Summary hit/miss counts come from the serial
  * prediction, so they are deterministic by construction.
+ *
+ * ### Result reuse
+ *
+ * Each tenant keeps its last successful RunResult under a reuse key:
+ * the plan key (graph structure of every snapshot, feature width,
+ * snapshot count, the full DgnnConfig and the update algorithm)
+ * mixed with the live fault spec and the runner's overlap mode. At
+ * the serial admission step a query whose key equals its tenant's
+ * stored key gets a copy of the stored result and skips execution.
+ * Since an execution is a pure function of those inputs, the answer
+ * is the one execution would have given. Two more conditions hold:
+ *
+ *  - The query must be a predicted plan hit. Its execution would then
+ *    have been a pure PlanCache hit, so the real cache sees the same
+ *    touches and evictions with or without reuse.
+ *  - Every tracer plane must be off. With --trace or --metrics on,
+ *    every query executes, so traces and the metrics registry match
+ *    a server without reuse byte for byte.
+ *
+ * Failed executions are never stored. The stored result is not
+ * checkpointed: a restored server re-executes each tenant's first
+ * query. Responses, summaries, checkpoints and the WAL are identical
+ * with or without reuse.
  */
 
 #ifndef DITILE_SERVE_SERVER_HH
@@ -192,6 +216,12 @@ class Server
     ServeSummary summary() const;
 
     std::size_t numTenants() const { return tenants_.size(); }
+
+    /**
+     * Queries answered from their tenant's last result (see "Result
+     * reuse"). For tests; not in the summary or the checkpoint.
+     */
+    std::uint64_t resultReuses() const { return resultReuses_; }
     sim::ConcurrentRunner &runner() { return runner_; }
 
     // --- durability ---------------------------------------------------
@@ -280,6 +310,7 @@ class Server
     ServeSummary counters_;
     std::vector<std::uint64_t> latencies_;
     bool sawArrival_ = false;
+    std::uint64_t resultReuses_ = 0;
 
     /**
      * Serial prediction of plan-cache residency, keyed like the real

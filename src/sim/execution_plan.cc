@@ -11,6 +11,7 @@
 
 #include "sim/execution_plan.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -252,21 +253,36 @@ emitPartition(Emitter &e, const char *key,
     e.close();
 }
 
+/**
+ * Parse mapping.<key>. Indices are checked here, so a hand-edited
+ * plan fails with InputError instead of tripping an engine assertion:
+ * at most `max_parts` parts, and every owner in [0, parts) or
+ * unassigned (kInvalidTile).
+ */
 graph::VertexPartition
-parsePartition(const JsonValue &v)
+parsePartition(const JsonValue &mapping, const char *key, int max_parts)
 {
+    const JsonValue &v = mapping.at(key);
     const auto &owners = v.at("owners").items();
+    const long long parts = v.at("parts").asInt();
+    if (parts < 0 || parts > max_parts)
+        DITILE_THROW("plan mapping.", key, ".parts ", parts,
+                     " outside [0, ", max_parts, "]");
     // An unused partition (e.g. tilePartition of a temporal-parallel
     // mapping) serializes as zero parts; reconstruct it as default.
-    if (v.at("parts").asInt() == 0)
+    if (parts == 0)
         return {};
     graph::VertexPartition partition(
-        static_cast<VertexId>(owners.size()),
-        static_cast<int>(v.at("parts").asInt()));
+        static_cast<VertexId>(owners.size()), static_cast<int>(parts));
     for (std::size_t i = 0; i < owners.size(); ++i) {
-        const int owner = static_cast<int>(owners[i].asInt());
-        if (owner != kInvalidTile)
-            partition.assign(static_cast<VertexId>(i), owner);
+        const long long owner = owners[i].asInt();
+        if (owner == kInvalidTile)
+            continue;
+        if (owner < 0 || owner >= parts)
+            DITILE_THROW("plan mapping.", key, " owner ", owner,
+                         " of vertex ", i, " outside [0, ", parts, ")");
+        partition.assign(static_cast<VertexId>(i),
+                         static_cast<int>(owner));
     }
     return partition;
 }
@@ -635,12 +651,17 @@ ExecutionPlan::fromJson(const std::string &text)
 
     const JsonValue &mapping = doc.at("mapping");
     plan.mapping.spatialOnly = mapping.at("spatial_only").asBool();
-    plan.mapping.rowPartition =
-        parsePartition(mapping.at("row_partition"));
+    plan.mapping.rowPartition = parsePartition(
+        mapping, "row_partition", std::max(plan.hw.tileRows, 0));
     plan.mapping.snapshotColumn =
         parseIntArray<int>(mapping.at("snapshot_column"));
-    plan.mapping.tilePartition =
-        parsePartition(mapping.at("tile_partition"));
+    for (const int col : plan.mapping.snapshotColumn)
+        if (col < 0 || col >= plan.hw.tileCols)
+            DITILE_THROW("plan mapping.snapshot_column entry ", col,
+                         " outside [0, ", plan.hw.tileCols, ")");
+    plan.mapping.tilePartition = parsePartition(
+        mapping, "tile_partition",
+        std::max(plan.hw.tileRows, 0) * std::max(plan.hw.tileCols, 0));
 
     const JsonValue &options = doc.at("options");
     plan.options.algo = algoFromToken(options.at("algo").asString());

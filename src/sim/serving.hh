@@ -15,10 +15,13 @@
  * the call. The expensive part of planning — the per-snapshot
  * SnapshotPlans — is shared through the internally synchronized
  * PlanCache, so a fresh instance per call costs only the cheap
- * front-end passes on cache hits (and on a quiet tenant the whole
- * plan-key lookup hits). executePlan() itself is already safe for
- * concurrent callers: it is a pure replay over const inputs, and its
- * internal parallelFor nests safely in the global pool.
+ * front-end passes on cache hits. executePlan() itself is already
+ * safe for concurrent callers: it is a pure replay over const inputs,
+ * and its internal parallelFor nests safely in the global pool.
+ *
+ * Every infer() call plans and executes. The serving tier avoids the
+ * call altogether for a query on a quiet tenant by reusing that
+ * tenant's last result (see "Result reuse" in serve/server.hh).
  */
 
 #ifndef DITILE_SIM_SERVING_HH

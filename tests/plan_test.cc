@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
@@ -209,6 +211,78 @@ TEST(PlanJson, MalformedDocumentsThrow)
     // not default-initialize.
     EXPECT_THROW(sim::ExecutionPlan::fromJson("{\"plan_format\":1}"),
                  std::runtime_error);
+}
+
+/**
+ * Replace the first value after `marker` in `json` (the text up to
+ * the next ',' or ']') with `value`.
+ */
+std::string
+replaceAfter(std::string json, const std::string &marker,
+             const std::string &value)
+{
+    const auto pos = json.find(marker);
+    EXPECT_NE(pos, std::string::npos) << marker;
+    if (pos == std::string::npos)
+        return json;
+    const auto begin = pos + marker.size();
+    const auto end = json.find_first_of(",]", begin);
+    return json.replace(begin, end - begin, value);
+}
+
+TEST(PlanJson, OutOfRangeMappingIndicesThrowInputError)
+{
+    // Hand-edited plans must fail to load with a typed error; before
+    // validation they loaded and then aborted inside the engine.
+    const auto dg = planWorkload();
+    const model::DgnnConfig mconfig;
+    core::DiTileAccelerator ditile;
+    const auto plan = ditile.plan(dg, mconfig);
+    const std::string json = plan.toJson();
+    ASSERT_FALSE(plan.mapping.spatialOnly);
+    const int parts = plan.mapping.rowPartition.numParts();
+    const std::string cols = std::to_string(plan.hw.tileCols);
+    const std::string row_owners =
+        "\"row_partition\":{\"parts\":" + std::to_string(parts) +
+        ",\"owners\":[";
+    const std::string columns = "\"snapshot_column\":[";
+
+    for (const std::string &bad :
+         {replaceAfter(json, row_owners, std::to_string(parts)),
+          replaceAfter(json, row_owners, "-2"),
+          replaceAfter(json, "\"row_partition\":{\"parts\":",
+                       std::to_string(plan.hw.tileRows + 1)),
+          replaceAfter(json, "\"row_partition\":{\"parts\":", "-1"),
+          replaceAfter(json, columns, cols),
+          replaceAfter(json, columns, "-1")}) {
+        EXPECT_NE(bad, json);
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(bad), InputError);
+    }
+    // Unassigned owners and the last valid indices still load.
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(
+        replaceAfter(json, row_owners, std::to_string(kInvalidTile))));
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(
+        replaceAfter(json, row_owners, std::to_string(parts - 1))));
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(replaceAfter(
+        json, columns, std::to_string(plan.hw.tileCols - 1))));
+
+    // The spatial-only mapping (MEGA) indexes tile_partition instead.
+    const auto mega = sim::makeMega()->plan(dg, mconfig);
+    ASSERT_TRUE(mega.mapping.spatialOnly);
+    const int tiles = mega.mapping.tilePartition.numParts();
+    const std::string mega_json = mega.toJson();
+    const std::string tile_owners =
+        "\"tile_partition\":{\"parts\":" + std::to_string(tiles) +
+        ",\"owners\":[";
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(mega_json));
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(replaceAfter(
+                     mega_json, tile_owners, std::to_string(tiles))),
+                 InputError);
+    EXPECT_THROW(
+        sim::ExecutionPlan::fromJson(replaceAfter(
+            mega_json, "\"tile_partition\":{\"parts\":",
+            std::to_string(mega.hw.tileRows * mega.hw.tileCols + 1))),
+        InputError);
 }
 
 // ---------------------------------------------------------------------

@@ -2,12 +2,14 @@
  * @file
  * Tests for the serving tier: protocol parsing (typed errors, no
  * aborts), snapshot windows, bounded-queue admission control, tenant
- * LRU eviction, load-generator reproducibility, and the end-of-run
- * summary invariants.
+ * LRU eviction, load-generator reproducibility, the end-of-run
+ * summary invariants, and per-tenant result reuse.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,9 +17,13 @@
 #include "common/bounded_queue.hh"
 #include "common/clock.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/shutdown.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/generator.hh"
 #include "graph/window.hh"
+#include "serve/checkpoint.hh"
 #include "serve/loadgen.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -559,6 +565,303 @@ TEST(ServeServer, ReplaySummaryAccountsForEveryRequest)
     const auto table = summary.toTable();
     EXPECT_NE(table.find("serve summary"), std::string::npos);
     EXPECT_NE(table.find("sustained QPS"), std::string::npos);
+}
+
+// --- result reuse ---------------------------------------------------
+
+/** Always leave the process-wide tracer disabled. */
+struct TracerGuard
+{
+    TracerGuard() { Tracer::global().reset(); }
+    ~TracerGuard() { Tracer::global().reset(); }
+};
+
+/** A 10-tenant, 2k-request schedule over small graphs. */
+serve::LoadGenConfig
+reuseConfig()
+{
+    serve::LoadGenConfig config;
+    config.tenants = 10;
+    config.requests = 2000;
+    config.vertices = 64;
+    config.edges = 256;
+    config.features = 4;
+    config.seed = 5;
+    return config;
+}
+
+/** Non-Nop protocol lines of a schedule. */
+std::vector<std::string>
+scriptLines(const std::vector<serve::Request> &schedule)
+{
+    std::vector<std::string> lines;
+    for (const auto &request : schedule)
+        if (request.kind != serve::Request::Kind::Nop)
+            lines.push_back(serve::renderRequest(request));
+    return lines;
+}
+
+/** Feeds one server a workload, collecting every response. */
+using Workload =
+    std::function<void(serve::Server &, std::vector<std::string> &)>;
+
+/** Everything a run answers: responses, then the summary table. */
+struct Transcript
+{
+    std::vector<std::string> responses;
+    std::string summary;
+    std::uint64_t reuses = 0;
+};
+
+/**
+ * Drive one fresh server through `drive`, with the tracer's metrics
+ * plane on (every query executes) or off (reuse allowed).
+ */
+Transcript
+transcript(const serve::ServerOptions &options, bool metrics,
+           const Workload &drive)
+{
+    TracerGuard guard;
+    if (metrics)
+        Tracer::global().enable(false, true);
+    serve::Server server(options, makeFactory());
+    Transcript t;
+    drive(server, t.responses);
+    t.summary = server.summary().toTable();
+    t.reuses = server.resultReuses();
+    return t;
+}
+
+/** Reuse must not change a byte; report the reuse count. */
+std::uint64_t
+expectReuseInvisible(const serve::ServerOptions &options,
+                     const Workload &drive)
+{
+    const Transcript traced = transcript(options, true, drive);
+    const Transcript plain = transcript(options, false, drive);
+    EXPECT_EQ(traced.reuses, 0u);
+    EXPECT_EQ(plain.responses, traced.responses);
+    EXPECT_EQ(plain.summary, traced.summary);
+    return plain.reuses;
+}
+
+Workload
+replayWorkload(const std::vector<serve::Request> &schedule)
+{
+    return [&schedule](serve::Server &server,
+                       std::vector<std::string> &out) {
+        server.replay(schedule, &out);
+    };
+}
+
+Workload
+handleWorkload(const std::vector<std::string> &lines)
+{
+    return [&lines](serve::Server &server,
+                    std::vector<std::string> &out) {
+        for (const auto &line : lines)
+            out.push_back(server.handle(line));
+    };
+}
+
+TEST(ServeReuse, LoadgenReplayIsByteIdenticalWithReuse)
+{
+    const auto schedule = serve::LoadGen(reuseConfig()).schedule();
+    EXPECT_GT(expectReuseInvisible({}, replayWorkload(schedule)), 0u);
+}
+
+TEST(ServeReuse, LoadgenHandleIsByteIdenticalWithReuse)
+{
+    const auto lines =
+        scriptLines(serve::LoadGen(reuseConfig()).schedule());
+    EXPECT_GT(expectReuseInvisible({}, handleWorkload(lines)), 0u);
+}
+
+TEST(ServeReuse, BoundedPlanCacheIsByteIdenticalWithReuse)
+{
+    // A two-entry plan cache evicts constantly: the eviction sequence
+    // (and so every plan=hit|miss field) must not move.
+    serve::ServerOptions options;
+    options.planCacheCapacity = 2;
+    const auto schedule = serve::LoadGen(reuseConfig()).schedule();
+    EXPECT_GT(expectReuseInvisible(options, replayWorkload(schedule)),
+              0u);
+}
+
+TEST(ServeReuse, ChaosFaultSplicesAreByteIdenticalWithReuse)
+{
+    auto config = reuseConfig();
+    config.tenants = 4;
+    config.chaos = true;
+    config.chaosFault = 0.02;
+    const auto schedule = serve::LoadGen(config).schedule();
+    std::size_t splices = 0, clears = 0;
+    for (const auto &request : schedule)
+        if (request.kind == serve::Request::Kind::Fault)
+            ++(request.faultSpec.empty() ? clears : splices);
+    ASSERT_GT(splices, 0u);
+    ASSERT_GT(clears, 0u);
+    EXPECT_GT(expectReuseInvisible({}, replayWorkload(schedule)), 0u);
+    const auto lines = scriptLines(schedule);
+    EXPECT_GT(expectReuseInvisible({}, handleWorkload(lines)), 0u);
+}
+
+/**
+ * The "cycles= ... noc_bytes=" part of a query response, or that part
+ * rendered from a fresh ConcurrentRunner::infer of `dg`.
+ */
+std::string
+costFields(const std::string &response)
+{
+    const auto begin = response.find("cycles=");
+    const auto end = response.find(" window=");
+    return response.substr(begin, end - begin);
+}
+
+std::string
+freshCostFields(const graph::DynamicGraph &dg,
+                const sim::FaultSpec &faults, bool overlap = true)
+{
+    sim::ConcurrentRunner runner(makeFactory());
+    runner.setOverlap(overlap);
+    const auto r = runner.infer(dg, model::DgnnConfig{}, faults);
+    return "cycles=" + std::to_string(r.totalCycles) +
+        " ops=" + std::to_string(r.ops.totalArithmetic()) +
+        " dram_bytes=" + std::to_string(r.dramTraffic.total()) +
+        " noc_bytes=" + std::to_string(r.nocBytes);
+}
+
+TEST(ServeReuse, ChangedInputsForceReexecution)
+{
+    TracerGuard guard;
+    serve::ServerOptions options;
+    options.maxTenants = 1;
+    serve::Server server(options, makeFactory());
+    const std::string tenant_line =
+        "tenant a vertices=48 edges=96 features=4 window=2 "
+        "roll-every=0";
+    // Tenant a's window, built the way the server builds it, so each
+    // answer can be checked against a fresh execution.
+    const auto spec = serve::parseRequest(tenant_line).spec;
+    auto freshWindow = [&spec] {
+        Rng rng(spec.seed);
+        return graph::SnapshotWindow(
+            spec.name,
+            graph::generateRmat(spec.vertices, spec.edges, {}, rng),
+            spec.window, spec.features);
+    };
+    graph::SnapshotWindow mirror = freshWindow();
+
+    server.handle(tenant_line);
+    const std::string first = server.handle("query a");
+    EXPECT_EQ(server.resultReuses(), 0u);
+    const std::string again = server.handle("query a");
+    EXPECT_EQ(again, std::string(first).replace(
+                         first.find("plan=miss"), 9, "plan=hit"));
+    EXPECT_EQ(server.resultReuses(), 1u);
+
+    // An event changes only the live edge set, not the snapshots a
+    // query reads: the result is still reusable.
+    server.handle("event a add 1 2");
+    mirror.apply(serve::parseRequest("event a add 1 2").event);
+    server.handle("query a");
+    EXPECT_EQ(server.resultReuses(), 2u);
+
+    // Each of these changes an input of the execution; the next query
+    // must execute and match a fresh inference.
+    struct Step
+    {
+        const char *line;
+        bool rolls;
+    };
+    for (const Step step : {Step{"roll a", true},
+                            Step{"fault dram@0:ch0", false},
+                            Step{"fault clear", false}}) {
+        SCOPED_TRACE(step.line);
+        server.handle(step.line);
+        if (step.rolls)
+            mirror.roll();
+        const std::uint64_t before = server.resultReuses();
+        const std::string executed = server.handle("query a");
+        EXPECT_EQ(server.resultReuses(), before);
+        EXPECT_EQ(costFields(executed),
+                  freshCostFields(mirror.graph(),
+                                  server.activeFaults()));
+        // ...and the one after it is reused, byte-identically.
+        const std::string reused = server.handle("query a");
+        EXPECT_EQ(server.resultReuses(), before + 1);
+        EXPECT_EQ(costFields(reused), costFields(executed));
+    }
+
+    // So does the runner's overlap mode.
+    server.runner().setOverlap(false);
+    const std::uint64_t staged_before = server.resultReuses();
+    const std::string staged = server.handle("query a");
+    EXPECT_EQ(server.resultReuses(), staged_before);
+    EXPECT_EQ(costFields(staged),
+              freshCostFields(mirror.graph(), server.activeFaults(),
+                              /*overlap=*/false));
+    server.runner().setOverlap(true);
+
+    // Evicting the tenant drops its result: the re-created tenant's
+    // first query is a predicted plan hit that still executes.
+    server.handle("tenant b vertices=40 edges=80 features=4");
+    server.handle(tenant_line);
+    const std::uint64_t before = server.resultReuses();
+    const std::string recreated = server.handle("query a");
+    EXPECT_NE(recreated.find("plan=hit"), std::string::npos)
+        << recreated;
+    EXPECT_EQ(server.resultReuses(), before);
+    EXPECT_EQ(costFields(recreated),
+              freshCostFields(freshWindow().graph(),
+                              server.activeFaults()));
+    server.handle("query a");
+    EXPECT_EQ(server.resultReuses(), before + 1);
+}
+
+TEST(ServeReuse, RestoreFromCheckpointAndWalAnswersSuffixIdentically)
+{
+    // The stored results are not checkpointed: a server restored from
+    // a mid-stream checkpoint plus the WAL re-executes each tenant's
+    // first query and must still answer the rest byte-identically.
+    TracerGuard guard;
+    const auto lines =
+        scriptLines(serve::LoadGen(reuseConfig()).schedule());
+    const std::size_t checkpoint_at = lines.size() / 3;
+    const std::size_t crash_at = 2 * lines.size() / 3;
+    const std::string wal_path = ::testing::TempDir() + "/reuse.wal";
+    std::remove(wal_path.c_str());
+
+    std::vector<std::string> reference;
+    {
+        serve::Server server({}, makeFactory());
+        handleWorkload(lines)(server, reference);
+    }
+    serve::ServerCheckpoint checkpoint;
+    {
+        serve::Server crashed({}, makeFactory());
+        crashed.attachWal(serve::WalWriter::openFresh(
+            wal_path, serve::WalSync::Always));
+        for (std::size_t i = 0; i < crash_at; ++i) {
+            crashed.handle(lines[i]);
+            if (i + 1 == checkpoint_at)
+                checkpoint = crashed.checkpointState();
+        }
+        EXPECT_GT(crashed.resultReuses(), 0u);
+    }
+
+    serve::Server restored({}, makeFactory());
+    restored.restoreState(checkpoint);
+    std::vector<serve::WalRecord> suffix;
+    for (auto &record : serve::recoverWal(wal_path).records)
+        if (record.seq > checkpoint.walSeq)
+            suffix.push_back(std::move(record));
+    restored.recover(suffix);
+    ASSERT_EQ(restored.acknowledgedLines(), crash_at);
+    for (std::size_t i = crash_at; i < lines.size(); ++i)
+        EXPECT_EQ(restored.handle(lines[i]), reference[i])
+            << "line " << i << ": " << lines[i];
+    EXPECT_GT(restored.resultReuses(), 0u);
 }
 
 TEST(Percentile, NearestRankOnSmallSamples)
