@@ -21,8 +21,6 @@ Csr::Csr(VertexId num_vertices)
 Csr
 Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
 {
-    Csr g(num_vertices);
-
     // Canonicalize, drop self loops, sort, and de-duplicate.
     std::vector<Edge> canon;
     canon.reserve(edges.size());
@@ -39,10 +37,24 @@ Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
     }
     std::sort(canon.begin(), canon.end());
     canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
+    return fromSortedEdges(num_vertices, canon);
+}
+
+Csr
+Csr::fromSortedEdges(VertexId num_vertices, const std::vector<Edge> &edges)
+{
+    Csr g(num_vertices);
 
     // Count symmetric degrees, then fill.
     std::vector<EdgeId> degree(static_cast<std::size_t>(num_vertices), 0);
-    for (auto [u, v] : canon) {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto [u, v] = edges[i];
+        DITILE_ASSERT(u >= 0 && u < num_vertices &&
+                      v >= 0 && v < num_vertices,
+                      "edge (", u, ",", v, ") out of range [0,",
+                      num_vertices, ")");
+        DITILE_ASSERT(u < v && (i == 0 || edges[i - 1] < edges[i]),
+                      "edge (", u, ",", v, ") breaks canonical order");
         ++degree[u];
         ++degree[v];
     }
@@ -51,13 +63,13 @@ Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
     g.adj_.resize(static_cast<std::size_t>(g.rowPtr_[num_vertices]));
 
     std::vector<EdgeId> cursor(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
-    for (auto [u, v] : canon) {
+    for (auto [u, v] : edges) {
         g.adj_[static_cast<std::size_t>(cursor[u]++)] = v;
         g.adj_[static_cast<std::size_t>(cursor[v]++)] = u;
     }
-    // Adjacency lists are sorted because canon was sorted by (u,v) and we
-    // append v's in ascending order for each u; the reverse entries also
-    // arrive in ascending source order. Verify cheaply in debug runs.
+    // Adjacency lists are sorted because the edges are sorted by (u,v)
+    // and we append v's in ascending order for each u; the reverse
+    // entries also arrive in ascending source order.
     return g;
 }
 

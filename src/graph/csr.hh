@@ -40,6 +40,14 @@ class Csr
     static Csr fromEdges(VertexId num_vertices,
                          const std::vector<Edge> &edges);
 
+    /**
+     * Build from an edge list that is already canonical: every edge has
+     * u < v and the list is strictly ascending (sorted, no duplicates),
+     * as edgeList() returns. O(V + E); asserts the precondition.
+     */
+    static Csr fromSortedEdges(VertexId num_vertices,
+                               const std::vector<Edge> &edges);
+
     VertexId numVertices() const { return numVertices_; }
 
     /** Undirected edge count. */

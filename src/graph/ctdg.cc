@@ -6,27 +6,13 @@
 #include "graph/ctdg.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
+#include "graph/edge_key_set.hh"
 #include "graph/generator.hh"
 
 namespace ditile::graph {
-
-namespace {
-
-std::uint64_t
-edgeKey(VertexId u, VertexId v)
-{
-    if (u > v)
-        std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
-            << 32) |
-           static_cast<std::uint32_t>(v);
-}
-
-} // namespace
 
 ContinuousDynamicGraph::ContinuousDynamicGraph(
     std::string name, Csr initial, std::vector<GraphEvent> events)
@@ -64,8 +50,7 @@ ContinuousDynamicGraph::discretize(SnapshotId num_snapshots,
 
     // Live edge set, replayed forward in time.
     std::vector<Edge> live = initial_.edgeList();
-    std::unordered_set<std::uint64_t> keys;
-    keys.reserve(live.size() * 2);
+    EdgeKeySet keys(live.size());
     for (auto [u, v] : live)
         keys.insert(edgeKey(u, v));
 
@@ -87,7 +72,7 @@ ContinuousDynamicGraph::discretize(SnapshotId num_snapshots,
             const auto &e = events_[cursor++];
             const auto key = edgeKey(e.u, e.v);
             if (e.kind == GraphEvent::Kind::AddEdge) {
-                if (e.u != e.v && keys.insert(key).second) {
+                if (e.u != e.v && keys.insert(key)) {
                     live.emplace_back(std::min(e.u, e.v),
                                       std::max(e.u, e.v));
                 }
@@ -115,7 +100,7 @@ generateEventStream(const EventStreamConfig &config)
 
     // Live set mirrors the replay so removals target real edges.
     std::vector<Edge> live = initial.edgeList();
-    std::unordered_set<std::uint64_t> keys;
+    EdgeKeySet keys(live.size());
     for (auto [u, v] : live)
         keys.insert(edgeKey(u, v));
 
@@ -167,7 +152,7 @@ generateEventStream(const EventStreamConfig &config)
                         u |= 1, v |= 1;
                 }
                 if (u >= config.numVertices || v >= config.numVertices
-                    || u == v || keys.count(edgeKey(u, v))) {
+                    || u == v || keys.contains(edgeKey(u, v))) {
                     continue;
                 }
                 e.u = u;

@@ -6,25 +6,15 @@
 #include "graph/generator.hh"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
+#include "graph/edge_key_set.hh"
 
 namespace ditile::graph {
 
 namespace {
-
-/** Pack an undirected canonical edge into one 64-bit key. */
-std::uint64_t
-edgeKey(VertexId u, VertexId v)
-{
-    if (u > v)
-        std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
-            << 32) |
-           static_cast<std::uint32_t>(v);
-}
 
 /** One R-MAT endpoint pair draw over a 2^levels universe. */
 Edge
@@ -35,19 +25,13 @@ rmatDraw(int levels, const RmatParams &p, Rng &rng)
     std::int64_t u = 0;
     std::int64_t v = 0;
     for (int i = 0; i < levels; ++i) {
+        // Quadrants in r order: [0,a) top-left, [a,ab) top-right (v),
+        // [ab,abc) bottom-left (u), [abc,1) bottom-right (both).
         const double r = rng.uniformReal();
-        u <<= 1;
-        v <<= 1;
-        if (r < p.a) {
-            // top-left: nothing to add
-        } else if (r < ab) {
-            v |= 1;
-        } else if (r < abc) {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        const bool ub = r >= ab;
+        const bool vb = (r >= p.a) & ((r < ab) | (r >= abc));
+        u = (u << 1) | static_cast<std::int64_t>(ub);
+        v = (v << 1) | static_cast<std::int64_t>(vb);
     }
     return {static_cast<VertexId>(u), static_cast<VertexId>(v)};
 }
@@ -60,22 +44,16 @@ class EdgeSet
 {
   public:
     explicit EdgeSet(std::vector<Edge> edges)
-        : edges_(std::move(edges))
+        : edges_(std::move(edges)), keys_(edges_.size())
     {
-        keys_.reserve(edges_.size() * 2);
         for (auto [u, v] : edges_)
             keys_.insert(edgeKey(u, v));
-    }
-
-    bool contains(VertexId u, VertexId v) const
-    {
-        return keys_.count(edgeKey(u, v)) > 0;
     }
 
     bool
     insert(VertexId u, VertexId v)
     {
-        if (u == v || !keys_.insert(edgeKey(u, v)).second)
+        if (u == v || !keys_.insert(edgeKey(u, v)))
             return false;
         if (u > v)
             std::swap(u, v);
@@ -102,7 +80,7 @@ class EdgeSet
 
   private:
     std::vector<Edge> edges_;
-    std::unordered_set<std::uint64_t> keys_;
+    EdgeKeySet keys_;
 };
 
 } // namespace
@@ -116,17 +94,15 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
     if ((VertexId(1) << levels) < num_vertices)
         ++levels;
 
-    std::vector<Edge> edges;
-    edges.reserve(static_cast<std::size_t>(num_edges));
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(static_cast<std::size_t>(num_edges) * 2);
-
     // Draw until we have the requested count of distinct in-range,
     // non-self-loop edges. The retry bound protects dense corner cases
     // where distinct edges run out (caller asked for near-clique).
     const EdgeId max_possible =
         static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
     const EdgeId target = std::min(num_edges, max_possible);
+    std::vector<Edge> edges;
+    edges.reserve(static_cast<std::size_t>(target));
+    EdgeKeySet seen(static_cast<std::size_t>(target));
     std::uint64_t attempts = 0;
     const std::uint64_t attempt_cap =
         static_cast<std::uint64_t>(target) * 64 + 1024;
@@ -136,7 +112,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
         auto [u, v] = rmatDraw(levels, params, rng);
         if (u >= num_vertices || v >= num_vertices || u == v)
             continue;
-        if (!seen.insert(edgeKey(u, v)).second)
+        if (!seen.insert(edgeKey(u, v)))
             continue;
         if (u > v)
             std::swap(u, v);
@@ -147,13 +123,14 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
     while (static_cast<EdgeId>(edges.size()) < target) {
         auto u = static_cast<VertexId>(rng.uniformInt(0, num_vertices - 1));
         auto v = static_cast<VertexId>(rng.uniformInt(0, num_vertices - 1));
-        if (u == v || !seen.insert(edgeKey(u, v)).second)
+        if (u == v || !seen.insert(edgeKey(u, v)))
             continue;
         if (u > v)
             std::swap(u, v);
         edges.emplace_back(u, v);
     }
-    return Csr::fromEdges(num_vertices, edges);
+    std::sort(edges.begin(), edges.end());
+    return Csr::fromSortedEdges(num_vertices, edges);
 }
 
 DynamicGraph
@@ -171,9 +148,13 @@ generateDynamicGraph(const EvolutionConfig &config)
     std::vector<Csr> snapshots;
     std::vector<GraphDelta> deltas;
     snapshots.reserve(static_cast<std::size_t>(config.numSnapshots));
-    snapshots.push_back(base);
 
-    EdgeSet working(base.edgeList());
+    // `sorted` is the current snapshot's canonical edge list; each step
+    // derives the next one from it and the step's delta in O(E).
+    std::vector<Edge> sorted = base.edgeList();
+    std::vector<Edge> kept;
+    EdgeSet working(sorted);
+    snapshots.push_back(std::move(base));
     int levels = log2Floor(static_cast<std::uint64_t>(config.numVertices));
     if ((VertexId(1) << levels) < config.numVertices)
         ++levels;
@@ -184,10 +165,19 @@ generateDynamicGraph(const EvolutionConfig &config)
     for (SnapshotId t = 1; t < config.numSnapshots; ++t) {
         std::vector<Edge> added;
         std::vector<Edge> removed;
-        std::unordered_set<std::uint64_t> removed_keys;
-        std::unordered_set<std::uint64_t> added_keys;
-        std::unordered_set<VertexId> affected;
-        affected.reserve(affected_target * 2);
+        EdgeKeySet removed_keys(affected_target);
+        EdgeKeySet added_keys(affected_target);
+        // Only the affected-set size is read, so a bitmap plus a count
+        // stands in for a set.
+        std::vector<bool> affected(
+            static_cast<std::size_t>(config.numVertices), false);
+        std::size_t num_affected = 0;
+        const auto touch = [&](VertexId x) {
+            if (!affected[static_cast<std::size_t>(x)]) {
+                affected[static_cast<std::size_t>(x)] = true;
+                ++num_affected;
+            }
+        };
 
         // Alternate removal/addition so |E| stays ~constant. R-MAT draws
         // keep the skewed degree profile for additions. The iteration cap
@@ -198,7 +188,7 @@ generateDynamicGraph(const EvolutionConfig &config)
         std::size_t iters = 0;
         const std::size_t iter_cap = affected_target * 16 + 256;
         bool remove_next = true;
-        while (affected.size() < affected_target && iters < iter_cap) {
+        while (num_affected < affected_target && iters < iter_cap) {
             ++iters;
             if (remove_next && working.size() > 0) {
                 Edge e = working.removeRandom(rng);
@@ -211,13 +201,13 @@ generateDynamicGraph(const EvolutionConfig &config)
                     removed.push_back(e);
                     removed_keys.insert(key);
                 }
-                affected.insert(e.first);
-                affected.insert(e.second);
+                touch(e.first);
+                touch(e.second);
             } else {
                 auto [u, v] = rmatDraw(levels, config.rmat, rng);
                 if (u >= config.numVertices || v >= config.numVertices)
                     continue;
-                if (removed_keys.count(edgeKey(u, v)))
+                if (removed_keys.contains(edgeKey(u, v)))
                     continue;
                 if (!working.insert(u, v))
                     continue;
@@ -225,15 +215,27 @@ generateDynamicGraph(const EvolutionConfig &config)
                     std::swap(u, v);
                 added.emplace_back(u, v);
                 added_keys.insert(edgeKey(u, v));
-                affected.insert(u);
-                affected.insert(v);
+                touch(u);
+                touch(v);
             }
             remove_next = !remove_next;
         }
 
-        deltas.push_back(GraphDelta::fromChanges(added, removed));
-        snapshots.push_back(Csr::fromEdges(config.numVertices,
-                                           working.edges()));
+        // Every removed edge was in the previous snapshot and no added
+        // one was, so next = (prev \ removed) merged with added.
+        GraphDelta delta = GraphDelta::fromChanges(std::move(added),
+                                                   std::move(removed));
+        kept.clear();
+        std::set_difference(sorted.begin(), sorted.end(),
+                            delta.removedEdges().begin(),
+                            delta.removedEdges().end(),
+                            std::back_inserter(kept));
+        sorted.clear();
+        std::merge(kept.begin(), kept.end(), delta.addedEdges().begin(),
+                   delta.addedEdges().end(), std::back_inserter(sorted));
+        snapshots.push_back(Csr::fromSortedEdges(config.numVertices,
+                                                 sorted));
+        deltas.push_back(std::move(delta));
     }
 
     return DynamicGraph(config.name, std::move(snapshots),

@@ -58,7 +58,10 @@ Csr generateRmat(VertexId num_vertices, EdgeId num_edges,
  * Each step alternates edge removals and additions until the affected
  * vertex set reaches the configured dissimilarity target, keeping the
  * edge count approximately constant. Deltas are recorded exactly as
- * applied (no re-diffing), so generation is O(changes) per step.
+ * applied (no re-diffing), so evolving costs O(changes) per step.
+ * Snapshot t's CSR is built by merging the step's sorted delta into
+ * snapshot t-1's sorted edge list, which is O(E + V) per snapshot with
+ * no re-sort.
  */
 DynamicGraph generateDynamicGraph(const EvolutionConfig &config);
 

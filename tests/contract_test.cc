@@ -22,6 +22,17 @@ TEST(ContractCsr, OutOfRangeEdgeDies)
     EXPECT_DEATH(graph::Csr::fromEdges(3, {{0, 7}}), "out of range");
 }
 
+TEST(ContractCsr, NonCanonicalSortedEdgesDie)
+{
+    EXPECT_DEATH(graph::Csr::fromSortedEdges(3, {{0, 7}}), "out of range");
+    EXPECT_DEATH(graph::Csr::fromSortedEdges(3, {{1, 0}}),
+                 "canonical order");
+    EXPECT_DEATH(graph::Csr::fromSortedEdges(3, {{1, 2}, {0, 1}}),
+                 "canonical order");
+    EXPECT_DEATH(graph::Csr::fromSortedEdges(3, {{0, 1}, {0, 1}}),
+                 "canonical order");
+}
+
 TEST(ContractDynamicGraph, EmptySnapshotListDies)
 {
     EXPECT_DEATH(graph::DynamicGraph("x", std::vector<graph::Csr>{},

@@ -6,10 +6,32 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "graph/ctdg.hh"
 
 namespace ditile::graph {
 namespace {
+
+/** FNV-1a over the initial edge list and every event, field by field. */
+std::uint64_t
+streamHash(const ContinuousDynamicGraph &ctdg)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (auto [u, v] : ctdg.initial().edgeList()) {
+        mix(static_cast<std::uint64_t>(u));
+        mix(static_cast<std::uint64_t>(v));
+    }
+    mix(ctdg.events().size());
+    for (const auto &e : ctdg.events()) {
+        mix(static_cast<std::uint64_t>(e.kind));
+        mix(static_cast<std::uint64_t>(e.u));
+        mix(static_cast<std::uint64_t>(e.v));
+        mix(std::bit_cast<std::uint64_t>(e.timestamp));
+    }
+    return h;
+}
 
 ContinuousDynamicGraph
 tinyStream()
@@ -147,6 +169,36 @@ TEST(GenerateEventStream, DiscretizedStreamFeedsPipeline)
     for (SnapshotId t = 0; t < 5; ++t) {
         EXPECT_GT(dg.snapshot(t).numEdges(), 1000);
         EXPECT_LT(dg.snapshot(t).numEdges(), 2000);
+    }
+}
+
+/**
+ * Event-stream byte-identity: hashes recorded before the generator
+ * moved onto the flat edge-key set. The dense case exhausts its add
+ * retries, so degenerate adds are skipped too.
+ */
+TEST(GenerateEventStream, GoldenStreamHashes)
+{
+    EventStreamConfig config;
+    {
+        SCOPED_TRACE("default config");
+        const auto ctdg = generateEventStream(config);
+        EXPECT_EQ(streamHash(ctdg), 5147654469042891094ull);
+        EXPECT_EQ(ctdg.discretize(6, 8).structureHashValue(),
+                  6452242005035760820ull);
+    }
+    config.numVertices = 16;
+    config.initialEdges = 100;
+    config.numEvents = 3000;
+    config.removalFraction = 0.3;
+    config.seed = 9;
+    {
+        SCOPED_TRACE("dense config");
+        const auto ctdg = generateEventStream(config);
+        EXPECT_LT(ctdg.events().size(), 3000u);
+        EXPECT_EQ(streamHash(ctdg), 205535779958731512ull);
+        EXPECT_EQ(ctdg.discretize(6, 8).structureHashValue(),
+                  15134175465298718945ull);
     }
 }
 

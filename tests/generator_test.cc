@@ -12,6 +12,45 @@
 namespace ditile::graph {
 namespace {
 
+/** FNV-1a over every delta's added, removed and affected lists. */
+std::uint64_t
+deltaHash(const DynamicGraph &dg)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (SnapshotId t = 1; t < dg.numSnapshots(); ++t) {
+        const GraphDelta &d = dg.delta(t);
+        for (const auto *edges : {&d.addedEdges(), &d.removedEdges()}) {
+            mix(edges->size());
+            for (auto [u, v] : *edges) {
+                mix(static_cast<std::uint64_t>(u));
+                mix(static_cast<std::uint64_t>(v));
+            }
+        }
+        mix(d.affectedVertices().size());
+        for (VertexId v : d.affectedVertices())
+            mix(static_cast<std::uint64_t>(v));
+    }
+    return h;
+}
+
+/** The dense corner: more edges than the complete graph holds. */
+EvolutionConfig
+denseConfig()
+{
+    EvolutionConfig config;
+    config.numVertices = 8;
+    config.numEdges = 1000;
+    config.numSnapshots = 5;
+    config.dissimilarity = 0.5;
+    // d = 0: R-MAT never sets a bit in both endpoints at one level, so
+    // pairs such as {1,3} are unreachable and the uniform fallback fill
+    // must supply them.
+    config.rmat = {0.9, 0.05, 0.05};
+    config.seed = 13;
+    return config;
+}
+
 TEST(Rmat, ProducesRequestedEdgeCount)
 {
     Rng rng(1);
@@ -128,6 +167,93 @@ TEST(Evolution, ZeroDissimilarityFreezesGraph)
         EXPECT_EQ(dg.delta(t).numChanges(), 0u);
         EXPECT_EQ(dg.snapshot(t).edgeList(),
                   dg.snapshot(0).edgeList());
+    }
+}
+
+/**
+ * Generator byte-identity: structure hashes and delta lists recorded
+ * before the generator moved onto the flat key set and delta-merged
+ * CSRs. Any change to the RNG stream, draw order or CSR build shows
+ * here.
+ */
+TEST(Evolution, GoldenGraphHashes)
+{
+    const auto check = [](const DynamicGraph &dg, std::uint64_t structure,
+                          std::uint64_t deltas) {
+        EXPECT_EQ(dg.structureHashValue(), structure);
+        EXPECT_EQ(deltaHash(dg), deltas);
+    };
+    DatasetOptions wd;
+    wd.scale = 0.25;
+    {
+        SCOPED_TRACE("WD scale 0.25, T=8");
+        check(makeDataset("WD", wd), 17653271450107191456ull,
+              11118012599974401987ull);
+    }
+    wd.numSnapshots = 16;
+    {
+        SCOPED_TRACE("WD scale 0.25, T=16");
+        check(makeDataset("WD", wd), 16474313983039290524ull,
+              8629627843773805816ull);
+    }
+    DatasetOptions rd;
+    rd.scale = 0.05;
+    {
+        SCOPED_TRACE("RD scale 0.05");
+        check(makeDataset("RD", rd), 9933541615248110182ull,
+              5846626077217956300ull);
+    }
+    {
+        SCOPED_TRACE("PM");
+        check(makeDataset("PM"), 15613736518850545765ull,
+              7324299784579085816ull);
+    }
+    EvolutionConfig small;
+    small.numVertices = 64;
+    small.numEdges = 256;
+    small.numSnapshots = 6;
+    small.dissimilarity = 0.2;
+    small.seed = 5;
+    {
+        SCOPED_TRACE("64 vertices");
+        check(generateDynamicGraph(small), 499418670028827480ull,
+              13471557141775573302ull);
+    }
+    const EvolutionConfig dense = denseConfig();
+    {
+        SCOPED_TRACE("dense, uniform fallback fill");
+        const auto dg = generateDynamicGraph(dense);
+        EXPECT_EQ(dg.snapshot(0).numEdges(), 28);
+        check(dg, 10520394300433611394ull, 164199623006977855ull);
+    }
+}
+
+/** Each recorded delta is exactly the diff of its two snapshots. */
+TEST(Evolution, RecordedDeltaEqualsDiff)
+{
+    EvolutionConfig mid;
+    mid.numVertices = 1000;
+    mid.numEdges = 5000;
+    mid.numSnapshots = 8;
+    mid.dissimilarity = 0.133;
+    mid.seed = 21;
+    EvolutionConfig small;
+    small.numVertices = 64;
+    small.numEdges = 256;
+    small.numSnapshots = 6;
+    small.dissimilarity = 0.5;
+    for (const auto &config : {mid, small, denseConfig()}) {
+        const auto dg = generateDynamicGraph(config);
+        for (SnapshotId t = 1; t < dg.numSnapshots(); ++t) {
+            SCOPED_TRACE(testing::Message() << config.numVertices
+                                            << " vertices, t=" << t);
+            const auto diff = GraphDelta::diff(dg.snapshot(t - 1),
+                                               dg.snapshot(t));
+            EXPECT_EQ(dg.delta(t).addedEdges(), diff.addedEdges());
+            EXPECT_EQ(dg.delta(t).removedEdges(), diff.removedEdges());
+            EXPECT_EQ(dg.delta(t).affectedVertices(),
+                      diff.affectedVertices());
+        }
     }
 }
 

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/rng.hh"
 #include "graph/delta.hh"
 #include "graph/dynamic_graph.hh"
+#include "graph/edge_key_set.hh"
 #include "graph/generator.hh"
 #include "graph/partition.hh"
 
@@ -86,6 +88,94 @@ TEST(Csr, DegreeStatistics)
     const auto g = triangleWithTail();
     EXPECT_DOUBLE_EQ(g.avgDegree(), 2.0);
     EXPECT_EQ(g.maxDegree(), 3);
+}
+
+TEST(Csr, FromSortedEdgesMatchesFromEdges)
+{
+    Rng rng(17);
+    std::vector<Edge> raw;
+    for (int i = 0; i < 3000; ++i)
+        raw.emplace_back(static_cast<VertexId>(rng.uniformInt(0, 199)),
+                         static_cast<VertexId>(rng.uniformInt(0, 199)));
+    const auto a = Csr::fromEdges(200, raw);
+    const auto b = Csr::fromSortedEdges(200, a.edgeList());
+    EXPECT_EQ(a.rowPtr(), b.rowPtr());
+    EXPECT_EQ(a.adjacency(), b.adjacency());
+    EXPECT_EQ(Csr::fromSortedEdges(5, {}).numEdges(), 0);
+}
+
+TEST(EdgeKeySet, MatchesUnorderedSetUnderRandomOps)
+{
+    Rng rng(2024);
+    EdgeKeySet set;
+    std::unordered_set<std::uint64_t> ref;
+    const std::size_t initial_capacity = set.capacity();
+    for (int op = 0; op < 100000; ++op) {
+        const auto key = edgeKey(
+            static_cast<VertexId>(rng.uniformInt(0, 127)),
+            static_cast<VertexId>(rng.uniformInt(0, 127)));
+        const double r = rng.uniformReal();
+        if (r < 0.5) {
+            ASSERT_EQ(set.insert(key), ref.insert(key).second) << op;
+        } else if (r < 0.8) {
+            ASSERT_EQ(set.erase(key), ref.erase(key) > 0) << op;
+        } else {
+            ASSERT_EQ(set.contains(key), ref.count(key) > 0) << op;
+        }
+        ASSERT_EQ(set.size(), ref.size()) << op;
+    }
+    EXPECT_GE(set.capacity(), 64 * initial_capacity);
+    for (VertexId u = 0; u < 128; ++u)
+        for (VertexId v = u; v < 128; ++v)
+            EXPECT_EQ(set.contains(edgeKey(u, v)),
+                      ref.count(edgeKey(u, v)) > 0);
+}
+
+TEST(EdgeKeySet, ClusterWrapsAtTableEndAndSurvivesMiddleErase)
+{
+    EdgeKeySet set;
+    const std::size_t last = set.capacity() - 1;
+    // Three keys homed at the last slot and one homed at slot 0: the
+    // probe cluster runs last, 0, 1, 2.
+    std::vector<std::uint64_t> at_end;
+    std::uint64_t at_zero = 0;
+    bool have_zero = false;
+    for (VertexId v = 1; at_end.size() < 3 || !have_zero; ++v) {
+        const auto key = edgeKey(0, v);
+        if (set.homeSlot(key) == last && at_end.size() < 3)
+            at_end.push_back(key);
+        else if (set.homeSlot(key) == 0 && !have_zero) {
+            at_zero = key;
+            have_zero = true;
+        }
+    }
+    for (auto key : at_end)
+        ASSERT_TRUE(set.insert(key));
+    ASSERT_TRUE(set.insert(at_zero));
+    ASSERT_EQ(set.capacity(), last + 1) << "no growth expected";
+
+    // Erase from the middle (the member that wrapped to slot 0); the
+    // backward shift must keep every later member reachable.
+    ASSERT_TRUE(set.erase(at_end[1]));
+    EXPECT_FALSE(set.contains(at_end[1]));
+    EXPECT_TRUE(set.contains(at_end[0]));
+    EXPECT_TRUE(set.contains(at_end[2]));
+    EXPECT_TRUE(set.contains(at_zero));
+
+    // Erase the cluster head; the rest shift back across the wrap.
+    ASSERT_TRUE(set.erase(at_end[0]));
+    EXPECT_TRUE(set.contains(at_end[2]));
+    EXPECT_TRUE(set.contains(at_zero));
+    EXPECT_FALSE(set.erase(at_end[0]));
+    EXPECT_EQ(set.size(), 2u);
+
+    // Growth rehashes every survivor.
+    for (VertexId v = 1; v < 200; ++v)
+        set.insert(edgeKey(1, v));
+    EXPECT_GT(set.capacity(), last + 1);
+    EXPECT_TRUE(set.contains(at_end[2]));
+    EXPECT_TRUE(set.contains(at_zero));
+    EXPECT_EQ(set.size(), 201u);
 }
 
 TEST(GraphDelta, DiffDetectsChanges)

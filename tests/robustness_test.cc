@@ -26,7 +26,24 @@ struct SweepPoint
     std::uint64_t seed;
 };
 
-class FullStackSweep : public ::testing::TestWithParam<SweepPoint>
+/**
+ * A sweep point with a name. PrintTo prints only the name, so a test
+ * name never shows the raw bytes of a SweepPoint, whose padding is
+ * uninitialised and differs from run to run.
+ */
+struct NamedCase
+{
+    const char *name;
+    SweepPoint point;
+};
+
+void
+PrintTo(const NamedCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class FullStackSweep : public ::testing::TestWithParam<NamedCase>
 {
 };
 
@@ -83,41 +100,22 @@ runFullStack(const SweepPoint &p)
 
 TEST_P(FullStackSweep, EveryAcceleratorHoldsInvariants)
 {
-    runFullStack(GetParam());
+    runFullStack(GetParam().point);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Corners, FullStackSweep,
     ::testing::Values(
-        // Dense small graph.
-        SweepPoint{128, 4000, 4, 0.2, 8, 3},
-        // Sparse long stream.
-        SweepPoint{512, 700, 24, 0.05, 16, 4},
-        // Near-total churn.
-        SweepPoint{256, 1024, 6, 0.9, 8, 5},
-        // Zero churn, many snapshots.
-        SweepPoint{256, 1024, 12, 0.0, 8, 6},
-        // Wide features.
-        SweepPoint{200, 800, 4, 0.1, 700, 7}));
+        NamedCase{"DenseSmallGraph", SweepPoint{128, 4000, 4, 0.2, 8, 3}},
+        NamedCase{"SparseLongStream",
+                  SweepPoint{512, 700, 24, 0.05, 16, 4}},
+        NamedCase{"NearTotalChurn", SweepPoint{256, 1024, 6, 0.9, 8, 5}},
+        NamedCase{"ZeroChurnManySnapshots",
+                  SweepPoint{256, 1024, 12, 0.0, 8, 6}},
+        NamedCase{"WideFeatures", SweepPoint{200, 800, 4, 0.1, 700, 7}}));
 
-/**
- * Degenerate tiny graphs. Each case carries a name and prints only
- * that, so the test name never shows the raw bytes of a SweepPoint,
- * whose padding is uninitialised and differs from run to run.
- */
-struct TinyCase
-{
-    const char *name;
-    SweepPoint point;
-};
-
-void
-PrintTo(const TinyCase &c, std::ostream *os)
-{
-    *os << c.name;
-}
-
-class TinyGraphSweep : public ::testing::TestWithParam<TinyCase>
+/** Degenerate tiny graphs. */
+class TinyGraphSweep : public ::testing::TestWithParam<NamedCase>
 {
 };
 
@@ -130,9 +128,9 @@ INSTANTIATE_TEST_SUITE_P(
     Corners, TinyGraphSweep,
     ::testing::Values(
         // Tiny graph, single snapshot.
-        TinyCase{"SingleSnapshot", SweepPoint{64, 128, 1, 0.0, 4, 1}},
+        NamedCase{"SingleSnapshot", SweepPoint{64, 128, 1, 0.0, 4, 1}},
         // Two vertices-ish: degenerate but legal.
-        TinyCase{"TwoSnapshots", SweepPoint{64, 64, 2, 0.5, 1, 2}}));
+        NamedCase{"TwoSnapshots", SweepPoint{64, 64, 2, 0.5, 1, 2}}));
 
 /** Small tile grids must work end to end. */
 class GridSweep : public ::testing::TestWithParam<int>
