@@ -30,15 +30,13 @@
  *   4. *serial* merge of every accumulator in canonical snapshot
  *      order, then the timeline.
  *
- * The timeline comes in two flavors. The staged model (default here,
- * `--no-overlap` in the CLIs) chains phases through the legacy
- * barrier formulas and is the byte-identity reference. Overlap mode
- * builds the Comp/Comm task DAG (task_graph.cc) over the *same*
- * per-task durations and lets the deterministic list scheduler
- * (scheduler.cc) propagate ready times, so independent phases
- * pipeline; because the DAG's dependencies are a strict relaxation of
- * the barriers, its makespan never exceeds the staged total on
- * fault-free runs.
+ * The timeline is one Comp/Comm task DAG (task_graph.cc), annotated
+ * with the per-task durations and scheduled by the deterministic list
+ * scheduler (scheduler.cc). Overlap mode schedules the DAG as built,
+ * so independent phases pipeline. Staged mode (default here,
+ * `--no-overlap` in the CLIs) is the same DAG plus barrier edges
+ * (addStagedBarriers), so overlap <= staged follows from edge
+ * inclusion.
  *
  * All accumulators merged in stage 4 are integers and the per-index
  * slots make the schedule invisible, so results are bit-identical to
@@ -96,21 +94,25 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     DITILE_ASSERT(plan.snapshots != nullptr,
                   "execution plan has no snapshot plans");
-    DITILE_ASSERT(plan.numSnapshots() == num_snapshots,
-                  "plan snapshot count does not match the workload");
+    // A replayed plan (--plan-in) may have been made for another
+    // workload; refuse it with a typed error instead of indexing past
+    // the graph.
+    const graph::VertexPartition &partition = mapping.spatialOnly
+        ? mapping.tilePartition : mapping.rowPartition;
+    const auto columns =
+        static_cast<SnapshotId>(mapping.snapshotColumn.size());
+    if (plan.numSnapshots() != num_snapshots ||
+        partition.numVertices() != num_vertices ||
+        (!mapping.spatialOnly && columns != num_snapshots)) {
+        DITILE_THROW("execution plan does not match workload '",
+                     dg.name(), "': plan has ", plan.numSnapshots(),
+                     " snapshots, ", partition.numVertices(),
+                     " vertices and ", columns,
+                     " snapshot columns; workload has ", num_snapshots,
+                     " snapshots and ", num_vertices, " vertices");
+    }
     const std::vector<model::SnapshotPlan> &snapshot_plans =
         *plan.snapshots;
-
-    if (mapping.spatialOnly) {
-        DITILE_ASSERT(mapping.tilePartition.numVertices() == num_vertices,
-                      "tile partition does not cover the graph");
-    } else {
-        DITILE_ASSERT(mapping.rowPartition.numVertices() == num_vertices,
-                      "row partition does not cover the graph");
-        DITILE_ASSERT(static_cast<SnapshotId>(
-                          mapping.snapshotColumn.size()) == num_snapshots,
-                      "snapshot->column map must cover every snapshot");
-    }
 
     dram::DramModel dram_model(hw.dram);
 
@@ -438,68 +440,70 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         }
     }
 
-    // ---- Timeline assembly. ----
+    // ---- Timeline: annotate the plan's task DAG with the durations
+    // the evaluation stages produced and let the deterministic
+    // scheduler propagate ready times. Staged mode is the same DAG
+    // plus barrier edges (addStagedBarriers); overlap lets independent
+    // phases pipeline and runs the Re-Link reconfiguration chain on
+    // its own lane instead of after the last RNN phase. ----
+    TaskGraph tg = buildTaskGraph(plan);
+    if (!options.overlap)
+        addStagedBarriers(tg, plan);
+    auto node = [&](int id) -> TaskNode & {
+        return tg.nodes[static_cast<std::size_t>(id)];
+    };
     result.trace.resize(static_cast<std::size_t>(num_snapshots));
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
+        const SnapshotWork &w = work[i];
         auto &tr = result.trace[i];
         tr.snapshot = t;
         tr.column = mapping.spatialOnly
             ? 0 : mapping.snapshotColumn[i];
         tr.dramDone = dram_done[i];
-        tr.gnnComputeCycles = work[i].gnnCompute;
-        tr.rnnComputeCycles = work[i].rnnCompute;
-        tr.spatialCommCycles = work[i].spatial.makespan;
-        tr.temporalCommCycles = work[i].temporal.makespan;
+        tr.gnnComputeCycles = w.gnnCompute;
+        tr.rnnComputeCycles = w.rnnCompute;
+        tr.spatialCommCycles = w.spatial.makespan;
+        tr.temporalCommCycles = w.temporal.makespan;
+        result.computeCycles += w.gnnCompute + w.rnnCompute;
+        result.onChipCommCycles +=
+            w.spatial.makespan + w.temporal.makespan;
+
+        const auto &st = tg.bySnapshot[i];
+        node(st.dram).duration =
+            dram_done[i] - (t > 0 ? dram_done[i - 1] : 0);
+        node(st.gnn).duration = w.gnnCompute;
+        node(st.spatial).duration = w.spatial.makespan;
+        if (st.temporal != -1)
+            node(st.temporal).duration = w.temporal.makespan;
+        node(st.rnn).duration = w.rnnCompute;
+        node(st.relink).duration = hw.perSnapshotConfigCycles;
     }
     result.configCycles = static_cast<Cycle>(num_snapshots) *
         hw.perSnapshotConfigCycles;
 
-    TaskGraph tg;
-    ScheduleResult sched;
-    if (options.overlap) {
-        // ---- Overlap: annotate the task DAG with the durations the
-        // evaluation stages produced and let the deterministic
-        // scheduler propagate ready times. The DAG's dependencies
-        // relax the staged barriers (task_graph.cc documents the
-        // mapping), so the makespan is <= the staged total; the
-        // Re-Link reconfiguration chain rides its own lane instead of
-        // being appended serially.
-        tg = buildTaskGraph(plan);
-        auto node = [&](int id) -> TaskNode & {
-            return tg.nodes[static_cast<std::size_t>(id)];
-        };
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto &st = tg.bySnapshot[i];
-            const SnapshotWork &w = work[i];
-            node(st.dram).duration =
-                dram_done[i] - (t > 0 ? dram_done[i - 1] : 0);
-            node(st.gnn).duration = w.gnnCompute;
-            node(st.spatial).duration = w.spatial.makespan;
-            if (st.temporal != -1)
-                node(st.temporal).duration = w.temporal.makespan;
-            node(st.rnn).duration = w.rnnCompute;
-            node(st.relink).duration = hw.perSnapshotConfigCycles;
-        }
-        sched = scheduleTaskGraph(tg);
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto &st = tg.bySnapshot[i];
-            auto &tr = result.trace[i];
-            // The DRAM chain reproduces dram_done exactly; the GNN
-            // phase is complete once compute, spatial traffic and the
-            // off-chip stream have all landed.
-            tr.gnnDone = std::max(
-                {sched.tasks[static_cast<std::size_t>(st.gnn)].finish,
-                 sched.tasks[static_cast<std::size_t>(st.spatial)]
-                     .finish,
-                 dram_done[i]});
-            tr.rnnDone =
-                sched.tasks[static_cast<std::size_t>(st.rnn)].finish;
-        }
-        result.totalCycles = sched.makespan;
+    const ScheduleResult sched = scheduleTaskGraph(tg);
+    auto start = [&](int id) {
+        return sched.tasks[static_cast<std::size_t>(id)].start;
+    };
+    auto finish = [&](int id) {
+        return sched.tasks[static_cast<std::size_t>(id)].finish;
+    };
+    for (SnapshotId t = 0; t < num_snapshots; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto &st = tg.bySnapshot[i];
+        // The DRAM chain reproduces dram_done exactly; the GNN phase
+        // is complete once compute, spatial traffic and the off-chip
+        // stream have all landed.
+        result.trace[i].gnnDone = std::max(
+            {finish(st.gnn), finish(st.spatial), dram_done[i]});
+        result.trace[i].rnnDone = finish(st.rnn);
+    }
+    result.totalCycles = sched.makespan;
 
+    // Task-graph stats describe overlap schedules only; staged runs
+    // report none, so their JSON and metrics carry no task sections.
+    if (options.overlap) {
         TaskGraphStats &ts = result.taskGraph;
         ts.enabled = true;
         ts.numTasks = tg.nodes.size();
@@ -520,74 +524,9 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             ts.tasks.push_back(
                 {n.id, taskKindToken(n.kind), n.snapshot,
                  tg.lanes[static_cast<std::size_t>(n.lane)].name(),
-                 sched.tasks[ni].start, sched.tasks[ni].finish,
+                 start(n.id), finish(n.id),
                  static_cast<bool>(critical[ni])});
         }
-    } else if (mapping.spatialOnly) {
-        // Snapshots run sequentially over the whole grid: GNN compute
-        // overlaps spatial communication, then the local RNN phase.
-        Cycle prev_done = 0;
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const Cycle gnn_done = std::max(
-                prev_done + std::max(work[i].gnnCompute,
-                                     work[i].spatial.makespan),
-                dram_done[i]);
-            const Cycle done = gnn_done + work[i].rnnCompute;
-            result.trace[i].gnnDone = gnn_done;
-            result.trace[i].rnnDone = done;
-            prev_done = done;
-        }
-        result.totalCycles = prev_done + result.configCycles;
-    } else {
-        // Pass 1: GNN phases with column occupancy and DRAM gating.
-        std::vector<Cycle> col_free(
-            static_cast<std::size_t>(hw.tileCols), 0);
-        std::vector<Cycle> gnn_done(
-            static_cast<std::size_t>(num_snapshots));
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto c = static_cast<std::size_t>(
-                mapping.snapshotColumn[i]);
-            const Cycle on_chip = std::max(work[i].gnnCompute,
-                                           work[i].spatial.makespan);
-            const Cycle done = std::max(col_free[c] + on_chip,
-                                        dram_done[i]);
-            gnn_done[i] = done;
-            result.trace[i].gnnDone = done;
-            col_free[c] = done;
-        }
-        // Pass 2: the RNN chain (temporal dependency across snapshots).
-        Cycle barrier = 0;
-        if (options.globalGnnBarrier) {
-            for (Cycle d : gnn_done)
-                barrier = std::max(barrier, d);
-        }
-        Cycle last_done = 0;
-        Cycle rnn_prev = 0;
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const Cycle start = std::max(
-                {gnn_done[i], barrier,
-                 rnn_prev + work[i].temporal.makespan});
-            const Cycle done = start + work[i].rnnCompute;
-            result.trace[i].rnnDone = done;
-            rnn_prev = done;
-            last_done = std::max(last_done, done);
-            if (!options.rnnSeparateResource) {
-                const auto c = static_cast<std::size_t>(
-                    mapping.snapshotColumn[i]);
-                col_free[c] = std::max(col_free[c], done);
-            }
-        }
-        result.totalCycles = last_done + result.configCycles;
-    }
-
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        result.computeCycles += work[i].gnnCompute + work[i].rnnCompute;
-        result.onChipCommCycles +=
-            work[i].spatial.makespan + work[i].temporal.makespan;
     }
     result.offChipCycles = dram_cursor;
 
@@ -884,17 +823,11 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                 Cycle gnn_ts, spat_ts, rnn_ts, temp_ts;
                 if (options.overlap) {
                     const auto &st = tg.bySnapshot[i];
-                    gnn_ts = sched
-                        .tasks[static_cast<std::size_t>(st.gnn)].start;
-                    spat_ts = sched
-                        .tasks[static_cast<std::size_t>(st.spatial)]
-                        .start;
-                    rnn_ts = sched
-                        .tasks[static_cast<std::size_t>(st.rnn)].start;
-                    temp_ts = st.temporal != -1
-                        ? sched.tasks[static_cast<std::size_t>(
-                                          st.temporal)].start
-                        : rnn_ts;
+                    gnn_ts = start(st.gnn);
+                    spat_ts = start(st.spatial);
+                    rnn_ts = start(st.rnn);
+                    temp_ts = st.temporal != -1 ? start(st.temporal)
+                                                : rnn_ts;
                 } else {
                     gnn_ts = row.gnnDone - w.gnnCompute;
                     spat_ts = row.gnnDone - w.spatial.makespan;

@@ -77,9 +77,11 @@ struct EngineOptions
     double rnnMacFraction = 1.0;
 
     /**
-     * RNN runs on a dedicated engine (RACE): the RNN phase of snapshot
-     * t does not block the tile column, so it pipelines with the GNN
-     * phase of t+1.
+     * Descriptive only: the accelerator has a dedicated RNN engine
+     * (ReaDy, DGNN-Booster, RACE). No timing reads it. Under column
+     * mappings the task DAG runs every RNN phase on its own lane, so
+     * it never blocks a tile column in either timeline mode. Kept
+     * because plan format 2 serializes it as "rnn_separate_resource".
      */
     bool rnnSeparateResource = false;
 
@@ -138,16 +140,16 @@ struct EngineOptions
     bool adaptiveRelink = false;
 
     /**
-     * Execute through the event-driven task-graph scheduler instead of
-     * the legacy staged barrier timeline: typed tasks (GNN/RNN
-     * compute, spatial/temporal comm, DRAM streaming, Re-Link
-     * reconfig) on per-device resource lanes, started as soon as their
-     * data dependencies allow. Per-task durations are identical to the
-     * staged model and the dependencies are a strict relaxation of the
-     * barriers, so overlap never reports a longer makespan than staged
-     * mode on fault-free runs. The staged timeline (the byte-identity
-     * reference, `--no-overlap` in the CLIs) remains the default here
-     * so existing plans and goldens are unaffected.
+     * Timeline mode. Both modes schedule one task DAG: typed tasks
+     * (GNN/RNN compute, spatial/temporal comm, DRAM streaming, Re-Link
+     * reconfig) on per-device resource lanes, with the same per-task
+     * durations. Staged mode (false, `--no-overlap` in the CLIs) adds
+     * barrier edges to that DAG (addStagedBarriers in task_graph.hh);
+     * overlap schedules it as built, so independent phases pipeline.
+     * Staged is the overlap DAG plus edges, so overlap never reports a
+     * longer makespan. Only overlap runs fill RunResult::taskGraph.
+     * The library default stays staged, unlike the CLIs, because the
+     * benches and the perfbench digests are recorded on it.
      */
     bool overlap = false;
 };

@@ -3,11 +3,10 @@
  * Engine internals shared by the evaluation, timing and observability
  * translation units (not part of the public sim API).
  *
- * The 1439-line engine.cc monolith is split along its stage seams:
- * snapshot_eval.cc owns the parallel per-snapshot evaluation (stage
- * 1), engine.cc owns the serial device replays, the staged timeline
- * and the task-graph overlap path, and everything they exchange lives
- * here as plain data.
+ * The engine is split along its stage seams: snapshot_eval.cc owns
+ * the parallel per-snapshot evaluation (stage 1), engine.cc owns the
+ * serial device replays and the task-graph timeline (both modes), and
+ * everything they exchange lives here as plain data.
  */
 
 #ifndef DITILE_SIM_ENGINE_INTERNAL_HH

@@ -151,7 +151,7 @@ buildTaskGraph(const ExecutionPlan &plan)
         st.relink = g.addTask(TaskKind::RelinkReconfig, t, relink_lane);
     }
 
-    // ---- Dependencies. The staged timeline's barriers relax to:
+    // ---- Dependencies: the data edges only, i.e.
     //   - the DRAM stream chain (device cursor),
     //   - the Re-Link reconfiguration chain (controller sequencer),
     //   - RNN[t-1] -> RNN[t] (the temporal hidden-state chain),
@@ -161,9 +161,10 @@ buildTaskGraph(const ExecutionPlan &plan)
     //     (snapshots run sequentially over the whole grid),
     //   - under globalGnnBarrier, every GNN/Spatial/DRAM task ->
     //     RNN[0]; the RNN chain propagates the barrier onward.
-    // Column occupancy needs no edges: same-column GNN tasks are all
-    // ready at cycle 0 and their lane pops them in id (= snapshot)
-    // order, reproducing the staged col_free chaining exactly.
+    // Column occupancy needs no edges here: same-column GNN tasks are
+    // all ready at cycle 0 and their lane pops them in id (=
+    // snapshot) order. Staged mode's stricter occupancy is
+    // addStagedBarriers.
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto &st = g.bySnapshot[static_cast<std::size_t>(t)];
         if (t > 0) {
@@ -196,6 +197,36 @@ buildTaskGraph(const ExecutionPlan &plan)
         }
     }
     return g;
+}
+
+void
+addStagedBarriers(TaskGraph &g, const ExecutionPlan &plan)
+{
+    const auto &snapshots = g.bySnapshot;
+    if (snapshots.empty())
+        return;
+    // A column takes its next snapshot only once the previous one's
+    // whole GNN phase (compute, spatial traffic and off-chip stream)
+    // is done. Spatial-only mapping needs nothing here: its staged
+    // chain is already the rnn[t-1] -> gnn/spatial[t] edges.
+    if (!plan.mapping.spatialOnly) {
+        std::vector<const TaskGraph::SnapshotTasks *> prev_on_lane(
+            g.lanes.size(), nullptr);
+        for (const auto &st : snapshots) {
+            const TaskGraph::SnapshotTasks *&pv = prev_on_lane[
+                static_cast<std::size_t>(
+                    g.nodes[static_cast<std::size_t>(st.gnn)].lane)];
+            if (pv) {
+                for (const int src : {pv->gnn, pv->spatial, pv->dram}) {
+                    g.addDep(src, st.gnn);
+                    g.addDep(src, st.spatial);
+                }
+            }
+            pv = &st;
+        }
+    }
+    // The config budget is paid serially after the last RNN phase.
+    g.addDep(snapshots.back().rnn, snapshots.front().relink);
 }
 
 } // namespace ditile::sim

@@ -2,12 +2,14 @@
  * @file
  * Comp/Comm task DAG built from an ExecutionPlan.
  *
- * The staged engine times a run through four global barriers; the task
- * graph replaces the barriers with explicit dependencies between typed
- * tasks bound to per-device resource lanes, so GNN compute, RNN
- * compute, NoC traffic, DRAM streaming and Re-Link reconfiguration
- * overlap whenever their data dependencies allow (the pipelining idea
- * of PiPAD / DGNN-Booster applied to the paper's timing model).
+ * Every single-chip run is timed on this graph: explicit dependencies
+ * between typed tasks bound to per-device resource lanes, so GNN
+ * compute, RNN compute, NoC traffic, DRAM streaming and Re-Link
+ * reconfiguration overlap whenever their data dependencies allow (the
+ * pipelining idea of PiPAD / DGNN-Booster applied to the paper's
+ * timing model). The staged timeline is the same graph plus the
+ * barrier edges of addStagedBarriers(), so overlap <= staged follows
+ * from edge inclusion.
  *
  * The graph is *structural*: it is a pure function of the plan (the
  * mapping, the policy knobs and the snapshot count), never of realized
@@ -61,8 +63,8 @@ enum class LaneKind
 {
     TileColumn,      ///< One tile column's MAC arrays (the whole grid
                      ///< under spatial-only mapping).
-    RnnEngine,       ///< One column's RNN issue slot. The staged
-                     ///< timeline never re-blocks a column on its RNN
+    RnnEngine,       ///< One column's RNN issue slot. Neither
+                     ///< timeline mode re-blocks a column on its RNN
                      ///< phase (the temporal chain already serializes
                      ///< RNN globally), so RNN compute gets its own
                      ///< lane regardless of rnnSeparateResource.
@@ -127,13 +129,26 @@ struct TaskGraph
 };
 
 /**
- * Build the structural task graph for a plan. Durations are zero; the
- * engine annotates them from its evaluation stages. The construction
- * relaxes the staged timeline's barriers to the true data
- * dependencies, and only relaxes: with staged per-task durations the
- * scheduled makespan is provably <= the staged end-to-end time.
+ * Build the structural task graph for a plan: the true data
+ * dependencies only, which is the overlap timeline. Durations are
+ * zero; the engine annotates them from its evaluation stages. These
+ * are the edges plan JSON serializes, in both timeline modes.
  */
 TaskGraph buildTaskGraph(const ExecutionPlan &plan);
+
+/**
+ * Turn a single-chip buildTaskGraph() result into the staged
+ * (`--no-overlap`) timeline by adding barrier edges:
+ *   - column mappings: the previous same-column snapshot's GNN,
+ *     spatial and DRAM tasks gate this snapshot's GNN and spatial
+ *     tasks (column occupancy with DRAM gating);
+ *   - every mapping: RNN[T-1] -> RelinkReconfig[0], so the config
+ *     budget is paid serially after the last RNN phase.
+ * Staged is the overlap DAG plus edges, so with the same durations
+ * the overlap makespan is never longer. The single-chip counterpart
+ * of buildClusterTaskGraph's `--no-overlap` edges.
+ */
+void addStagedBarriers(TaskGraph &graph, const ExecutionPlan &plan);
 
 } // namespace ditile::sim
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/logging.hh"
 #include "graph/ctdg.hh"
 #include "graph/dynamic_graph.hh"
 #include "graph/generator.hh"
@@ -102,7 +105,20 @@ TEST(ContractTiling, NonSquareGridDies)
     EXPECT_DEATH(tiling::gridDim(hw), "not a square grid");
 }
 
-TEST(ContractEngine, WrongPartitionSizeDies)
+/** The InputError message @p fn raises; empty when it returns. */
+template <typename Fn>
+std::string
+inputErrorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const InputError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ContractEngine, WrongPartitionSizeThrowsInputError)
 {
     graph::EvolutionConfig config;
     config.numVertices = 100;
@@ -118,11 +134,14 @@ TEST(ContractEngine, WrongPartitionSizeDies)
     mapping.rowPartition =
         graph::VertexPartition::contiguous(50, hw.tileRows); // wrong V
     mapping.snapshotColumn = {0, 1};
-    EXPECT_DEATH(sim::runEngine(dg, mconfig, hw, mapping, {}, "x"),
-                 "cover the graph");
+    const std::string msg = inputErrorOf(
+        [&] { sim::runEngine(dg, mconfig, hw, mapping, {}, "x"); });
+    EXPECT_NE(msg.find("does not match workload"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("50 vertices"), std::string::npos) << msg;
 }
 
-TEST(ContractEngine, MissingColumnMapDies)
+TEST(ContractEngine, MissingColumnMapThrowsInputError)
 {
     graph::EvolutionConfig config;
     config.numVertices = 100;
@@ -138,8 +157,11 @@ TEST(ContractEngine, MissingColumnMapDies)
     mapping.rowPartition = graph::VertexPartition::contiguous(
         dg.numVertices(), hw.tileRows);
     mapping.snapshotColumn = {0}; // T = 3 but one entry.
-    EXPECT_DEATH(sim::runEngine(dg, mconfig, hw, mapping, {}, "x"),
-                 "cover every snapshot");
+    const std::string msg = inputErrorOf(
+        [&] { sim::runEngine(dg, mconfig, hw, mapping, {}, "x"); });
+    EXPECT_NE(msg.find("does not match workload"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("1 snapshot columns"), std::string::npos) << msg;
 }
 
 TEST(ContractGenerator, InvalidDissimilarityDies)

@@ -297,6 +297,9 @@ TEST(Engine, DetailedTileTimingDeterministic)
 
 TEST(Engine, SeparateRnnResourcePipelinesBetterOrEqual)
 {
+    // The flag is descriptive: under a column mapping every RNN
+    // phase runs on its own task-graph lane and never holds the
+    // column, with or without a separate engine, so the totals match.
     const auto dg = workload();
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions shared;
@@ -306,8 +309,7 @@ TEST(Engine, SeparateRnnResourcePipelinesBetterOrEqual)
                              temporalMapping(dg, hw), shared, "a");
     const auto b = runEngine(dg, smallModel(), hw,
                              temporalMapping(dg, hw), engines, "b");
-    // Freeing the column during the RNN phase can only help.
-    EXPECT_LE(b.totalCycles, a.totalCycles);
+    EXPECT_EQ(b.totalCycles, a.totalCycles);
 }
 
 TEST(Engine, AlgorithmChoiceDrivesTime)

@@ -17,6 +17,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
@@ -283,6 +284,59 @@ TEST(PlanJson, OutOfRangeMappingIndicesThrowInputError)
             mega_json, "\"tile_partition\":{\"parts\":",
             std::to_string(mega.hw.tileRows * mega.hw.tileCols + 1))),
         InputError);
+}
+
+TEST(PlanJson, ReplayAgainstMismatchedWorkloadThrowsInputError)
+{
+    // --plan-in replays a document against whatever workload the
+    // flags build. A plan made for another snapshot count or scale, or
+    // with a snapshot_column of the wrong length, must fail with a
+    // typed error instead of aborting inside the engine.
+    graph::DatasetOptions options;
+    options.scale = 0.05;
+    options.numSnapshots = 4;
+    const auto dg = graph::makeDataset("WD", options);
+    options.numSnapshots = 8;
+    const auto longer = graph::makeDataset("WD", options);
+    options.numSnapshots = 4;
+    options.scale = 0.1;
+    const auto larger = graph::makeDataset("WD", options);
+    ASSERT_NE(larger.numVertices(), dg.numVertices());
+
+    auto replay = [](const std::string &json,
+                     const graph::DynamicGraph &workload) {
+        const auto plan = sim::ExecutionPlan::fromJson(json);
+        try {
+            sim::executePlan(workload, plan);
+        } catch (const InputError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    const model::DgnnConfig mconfig;
+    for (const auto &accel : fullFleet()) {
+        const auto plan = accel->plan(dg, mconfig);
+        SCOPED_TRACE(plan.acceleratorName);
+        const std::string json = plan.toJson();
+        EXPECT_EQ(replay(json, dg), "");
+        for (const auto *workload : {&longer, &larger}) {
+            EXPECT_NE(replay(json, *workload).find(
+                          "does not match workload"),
+                      std::string::npos);
+        }
+        if (plan.mapping.spatialOnly)
+            continue;
+        const std::string columns = "\"snapshot_column\":[";
+        const auto at = json.find(columns) + columns.size();
+        std::string shorter = json;
+        shorter.erase(at, json.find(',', at) + 1 - at);
+        std::string extra = json;
+        extra.insert(at, "0,");
+        EXPECT_NE(replay(shorter, dg).find("3 snapshot columns"),
+                  std::string::npos);
+        EXPECT_NE(replay(extra, dg).find("5 snapshot columns"),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------

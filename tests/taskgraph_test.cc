@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for the task-graph overlap engine: scheduler invariants
- * (makespan bounds, lane exclusivity, critical-path chaining), the
+ * Tests for the task-graph timeline: scheduler invariants (makespan
+ * bounds, lane exclusivity, critical-path chaining), the staged
+ * barrier edges against a reference copy of the former staged loops,
+ * a golden of every accelerator's timeline in both modes, the
  * overlap-never-slower-than-staged guarantee on fault-free runs,
  * cross-thread bit-identity of overlap schedules (including degraded
  * faulted plans), and plan-JSON format-2 serialization of the graph.
@@ -12,9 +14,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
@@ -73,9 +77,9 @@ tasksByLane(const sim::RunResult &r)
 }
 
 // ---------------------------------------------------------------------
-// Overlap vs staged: the DAG only relaxes staged barriers, so on a
-// fault-free plan the scheduled makespan can never exceed the staged
-// end-to-end time — per accelerator family and per snapshot milestone.
+// Overlap vs staged: staged is the same DAG plus barrier edges, so the
+// overlap makespan can never exceed the staged end-to-end time — per
+// accelerator family and per snapshot milestone.
 // ---------------------------------------------------------------------
 
 TEST(TaskGraphOverlap, NeverSlowerThanStagedOnAnyAccelerator)
@@ -103,6 +107,297 @@ TEST(TaskGraphOverlap, NeverSlowerThanStagedOnAnyAccelerator)
                 << "snapshot " << t;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Engine golden: every accelerator's timeline, pinned to the values
+// the staged loops and the overlap DAG produced before staged mode was
+// folded onto the DAG. A change to either timeline moves a row.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over every trace row's gnnDone and rnnDone. */
+std::uint64_t
+timelineHash(const sim::RunResult &r)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (const auto &row : r.trace) {
+        mix(row.gnnDone);
+        mix(row.rnnDone);
+    }
+    return h;
+}
+
+TEST(TaskGraphGolden, EveryAcceleratorTimelineIsPinned)
+{
+    // accelerator faulted overlap snapshots totalCycles timelineHash
+    static const char *const kGolden = R"(
+ReaDy 0 0 4 470256 11755502545338867865
+ReaDy 0 1 4 469456 11755502545338867865
+ReaDy 1 0 4 489874 7928751127255081919
+ReaDy 1 1 4 489074 7928751127255081919
+DGNN-Booster 0 0 4 462216 13303363730353630747
+DGNN-Booster 0 1 4 461416 13303363730353630747
+DGNN-Booster 1 0 4 472906 3759893873570136371
+DGNN-Booster 1 1 4 472106 3759893873570136371
+RACE 0 0 4 233700 7567398268889717099
+RACE 0 1 4 232900 7567398268889717099
+RACE 1 0 4 243364 7400110575523964235
+RACE 1 1 4 242564 7400110575523964235
+MEGA 0 0 4 141923 5803006231851096763
+MEGA 0 1 4 141123 5803006231851096763
+MEGA 1 0 4 150698 8828754418027351451
+MEGA 1 1 4 149898 8828754418027351451
+DiTile-DGNN 0 0 4 155028 16653307806051763843
+DiTile-DGNN 0 1 4 154228 16653307806051763843
+DiTile-DGNN 1 0 4 156922 16723515853253211365
+DiTile-DGNN 1 1 4 156122 16723515853253211365
+ReaDy 0 0 24 2072148 14447267946192383030
+ReaDy 0 1 24 2067348 14447267946192383030
+ReaDy 1 0 24 2219654 10581746132689250919
+ReaDy 1 1 24 2214854 10581746132689250919
+DGNN-Booster 0 0 24 2019943 1487093405328141408
+DGNN-Booster 0 1 24 2015143 1487093405328141408
+DGNN-Booster 1 0 24 2124910 1843024668030807582
+DGNN-Booster 1 1 24 2120110 1843024668030807582
+RACE 0 0 24 1062956 6979773095641696044
+RACE 0 1 24 1058156 6979773095641696044
+RACE 1 0 24 1136268 7957276943338516324
+RACE 1 1 24 1131468 7957276943338516324
+MEGA 0 0 24 761649 4329004336054065781
+MEGA 0 1 24 756849 4329004336054065781
+MEGA 1 0 24 770424 12084603497600960883
+MEGA 1 1 24 765624 12084603497600960883
+DiTile-DGNN 0 0 24 519048 3848640968382262535
+DiTile-DGNN 0 1 24 514248 3848640968382262535
+DiTile-DGNN 1 0 24 545204 14835384580152463575
+DiTile-DGNN 1 1 24 540404 14835384580152463575
+)";
+    std::ostringstream actual;
+    actual << '\n';
+    for (const SnapshotId snapshots : {4, 24}) {
+        graph::EvolutionConfig config;
+        config.numVertices = 600;
+        config.numEdges = 4800;
+        config.numSnapshots = snapshots;
+        config.dissimilarity = 0.12;
+        config.featureDim = 32;
+        config.seed = 11;
+        const auto dg = graph::generateDynamicGraph(config);
+        for (auto &accel : fullFleet()) {
+            for (const bool faulted : {false, true}) {
+                auto plan = accel->plan(dg, model::DgnnConfig{});
+                if (faulted) {
+                    plan.faults = sim::FaultSpec::parse(
+                        "tile@1:r3c*;vlink@0:r1c2;bypass-open@1:c5;"
+                        "dram@2:ch*");
+                }
+                for (const bool overlap : {false, true}) {
+                    plan.options.overlap = overlap;
+                    const auto r = sim::executePlan(dg, plan);
+                    actual << r.acceleratorName << ' ' << faulted << ' '
+                           << overlap << ' ' << snapshots << ' '
+                           << r.totalCycles << ' ' << timelineHash(r)
+                           << '\n';
+                }
+            }
+        }
+    }
+    EXPECT_EQ(actual.str(), kGolden);
+}
+
+// ---------------------------------------------------------------------
+// Staged mode is the DAG plus addStagedBarriers. The reference below is
+// the hand-written staged timeline the engine ran before: one loop for
+// spatial-only mapping, and a two-pass column occupancy / RNN chain
+// loop for column mappings. Seeded random durations bind every edge
+// kind, which real workloads never do.
+// ---------------------------------------------------------------------
+
+/** Per-snapshot durations of one synthetic run. */
+struct SyntheticRun
+{
+    std::vector<Cycle> dramDone; ///< Cumulative, like the DRAM cursor.
+    std::vector<Cycle> gnn;
+    std::vector<Cycle> spatial;
+    std::vector<Cycle> temporal; ///< 0 where no boundary is crossed.
+    std::vector<Cycle> rnn;
+    Cycle configPerSnapshot = 0;
+};
+
+struct Timeline
+{
+    std::vector<Cycle> gnnDone;
+    std::vector<Cycle> rnnDone;
+    Cycle totalCycles = 0;
+};
+
+Timeline
+stagedReference(const sim::ExecutionPlan &plan, const SyntheticRun &run)
+{
+    const auto n = run.gnn.size();
+    Timeline out;
+    out.gnnDone.resize(n);
+    out.rnnDone.resize(n);
+    const Cycle config_cycles =
+        static_cast<Cycle>(n) * run.configPerSnapshot;
+    if (plan.mapping.spatialOnly) {
+        Cycle prev_done = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Cycle gnn_done = std::max(
+                prev_done + std::max(run.gnn[i], run.spatial[i]),
+                run.dramDone[i]);
+            const Cycle done = gnn_done + run.rnn[i];
+            out.gnnDone[i] = gnn_done;
+            out.rnnDone[i] = done;
+            prev_done = done;
+        }
+        out.totalCycles = prev_done + config_cycles;
+        return out;
+    }
+    // Pass 1: GNN phases with column occupancy and DRAM gating.
+    std::vector<Cycle> col_free(64, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto c =
+            static_cast<std::size_t>(plan.mapping.snapshotColumn[i]);
+        const Cycle on_chip = std::max(run.gnn[i], run.spatial[i]);
+        out.gnnDone[i] = std::max(col_free[c] + on_chip, run.dramDone[i]);
+        col_free[c] = out.gnnDone[i];
+    }
+    // Pass 2: the RNN chain (temporal dependency across snapshots).
+    Cycle barrier = 0;
+    if (plan.options.globalGnnBarrier) {
+        for (const Cycle d : out.gnnDone)
+            barrier = std::max(barrier, d);
+    }
+    Cycle last_done = 0;
+    Cycle rnn_prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Cycle start = std::max(
+            {out.gnnDone[i], barrier, rnn_prev + run.temporal[i]});
+        out.rnnDone[i] = start + run.rnn[i];
+        rnn_prev = out.rnnDone[i];
+        last_done = std::max(last_done, out.rnnDone[i]);
+    }
+    out.totalCycles = last_done + config_cycles;
+    return out;
+}
+
+/** The engine's timeline path: annotate, add barriers, schedule. */
+Timeline
+stagedOnGraph(const sim::ExecutionPlan &plan, const SyntheticRun &run)
+{
+    sim::TaskGraph g = sim::buildTaskGraph(plan);
+    sim::addStagedBarriers(g, plan);
+    auto node = [&](int id) -> sim::TaskNode & {
+        return g.nodes[static_cast<std::size_t>(id)];
+    };
+    for (std::size_t i = 0; i < g.bySnapshot.size(); ++i) {
+        const auto &st = g.bySnapshot[i];
+        node(st.dram).duration =
+            run.dramDone[i] - (i > 0 ? run.dramDone[i - 1] : 0);
+        node(st.gnn).duration = run.gnn[i];
+        node(st.spatial).duration = run.spatial[i];
+        if (st.temporal != -1)
+            node(st.temporal).duration = run.temporal[i];
+        node(st.rnn).duration = run.rnn[i];
+        node(st.relink).duration = run.configPerSnapshot;
+    }
+    const auto sched = sim::scheduleTaskGraph(g);
+    auto finish = [&](int id) {
+        return sched.tasks[static_cast<std::size_t>(id)].finish;
+    };
+    Timeline out;
+    for (std::size_t i = 0; i < g.bySnapshot.size(); ++i) {
+        const auto &st = g.bySnapshot[i];
+        out.gnnDone.push_back(std::max(
+            {finish(st.gnn), finish(st.spatial), run.dramDone[i]}));
+        out.rnnDone.push_back(finish(st.rnn));
+    }
+    out.totalCycles = sched.makespan;
+    return out;
+}
+
+/**
+ * Column maps: round-robin, blocks that reuse a column for three
+ * snapshots in a row, and seeded random (repeats and gaps).
+ */
+enum class Columns { SpatialOnly, RoundRobin, Blocks, Random };
+
+/** A T-snapshot plan with seeded random durations for it. */
+std::pair<sim::ExecutionPlan, SyntheticRun>
+syntheticCase(Columns columns, int num_cols, SnapshotId num_snapshots,
+              Rng &rng)
+{
+    auto draw = [&](Cycle lo, Cycle hi) {
+        return static_cast<Cycle>(rng.uniformInt(
+            static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+    };
+    const auto n = static_cast<std::size_t>(num_snapshots);
+    sim::ExecutionPlan plan;
+    plan.snapshots =
+        std::make_shared<std::vector<model::SnapshotPlan>>(n);
+    auto &mapping = plan.mapping;
+    mapping.spatialOnly = columns == Columns::SpatialOnly;
+    for (std::size_t i = 0; i < n && !mapping.spatialOnly; ++i) {
+        const auto round = columns == Columns::Blocks ? i / 3 : i;
+        mapping.snapshotColumn.push_back(
+            columns == Columns::Random
+                ? static_cast<int>(draw(0, Cycle(num_cols - 1)))
+                : static_cast<int>(round % Cycle(num_cols)));
+    }
+    SyntheticRun run;
+    Cycle dram = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Alternate GNN- and spatial-dominated snapshots, so a
+        // column's compute and NoC lanes drift apart unless the
+        // occupancy barrier re-aligns them.
+        const bool gnn_heavy = i % 2 == 0;
+        run.gnn.push_back(gnn_heavy ? draw(400, 900) : draw(0, 200));
+        run.spatial.push_back(gnn_heavy ? draw(0, 200) : draw(400, 900));
+        // DRAM increments that now and then outrun the on-chip work
+        // and so gate it.
+        dram += draw(0, 3) == 0 ? draw(800, 2500) : draw(0, 150);
+        run.dramDone.push_back(dram);
+        const bool boundary = !mapping.spatialOnly && i > 0 &&
+            mapping.snapshotColumn[i] != mapping.snapshotColumn[i - 1];
+        run.temporal.push_back(boundary ? draw(0, 300) : 0);
+        run.rnn.push_back(draw(0, 400));
+    }
+    return {std::move(plan), std::move(run)};
+}
+
+TEST(TaskGraphStaged, BarrierEdgesReproduceTheStagedLoops)
+{
+    Rng rng(2025);
+    int cases = 0;
+    for (const Columns columns : {Columns::SpatialOnly, Columns::RoundRobin,
+                                  Columns::Blocks, Columns::Random}) {
+        for (const int num_cols : {1, 3, 8}) {
+            for (SnapshotId t = 0; t <= 40; ++t) {
+                auto [plan, run] = syntheticCase(columns, num_cols, t, rng);
+                for (const bool barrier : {false, true}) {
+                    for (const Cycle config : {Cycle{0}, Cycle{37}}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "columns=" << int(columns)
+                                     << " num_cols=" << num_cols
+                                     << " T=" << t
+                                     << " barrier=" << barrier
+                                     << " config=" << config);
+                        plan.options.globalGnnBarrier = barrier;
+                        run.configPerSnapshot = config;
+                        const auto want = stagedReference(plan, run);
+                        const auto got = stagedOnGraph(plan, run);
+                        ASSERT_EQ(got.totalCycles, want.totalCycles);
+                        ASSERT_EQ(got.gnnDone, want.gnnDone);
+                        ASSERT_EQ(got.rnnDone, want.rnnDone);
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 4 * 3 * 41 * 2 * 2);
 }
 
 // ---------------------------------------------------------------------

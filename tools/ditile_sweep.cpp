@@ -19,9 +19,8 @@
  * to sweeps predating the flag.
  *
  * Runs execute through the task-graph overlap scheduler by default;
- * --no-overlap selects the legacy staged barrier timeline (the
- * byte-identity reference, never faster than overlap on fault-free
- * points).
+ * --no-overlap selects the staged timeline (the same task graph plus
+ * barrier edges, never faster than overlap).
  *
  * Grid points that share generator parameters (same dissimilarity and
  * snapshot count, hence the same generated graph) are planned as one
