@@ -15,8 +15,9 @@ namespace ditile::noc {
 namespace {
 
 /**
- * In-flight packet state. The head owns link path[headIndex-1] and
- * everything behind it until the tail (flits cycles after the head
+ * In-flight packet state. The packet's path is hops[headIndex..pathEnd)
+ * of the batch's shared hop pool; the head owns link hops[headIndex-1]
+ * and everything behind it until the tail (flits cycles after the head
  * left a link) releases it.
  */
 struct Packet
@@ -24,10 +25,9 @@ struct Packet
     std::size_t id = 0;
     Cycle injectCycle = 0;
     Cycle flits = 1;
-    std::vector<Hop> path;
-    Cycle routerDelay = 0;    ///< Total router latency on the path.
+    std::size_t pathEnd = 0;      ///< One past the last path hop.
 
-    std::size_t headIndex = 0;    ///< Next path link to acquire.
+    std::size_t headIndex = 0;    ///< Next path hop to acquire.
     Cycle headStallUntil = 0;     ///< Router pipeline delay gate.
     Cycle doneCycle = 0;          ///< Tail fully drained.
     bool finished = false;
@@ -49,6 +49,11 @@ simulateFlitTraffic(const FlitConfig &config,
 
     std::vector<Packet> packets;
     packets.reserve(messages.size());
+    // Every packet's path lives in one pool, routed through one
+    // reused Route buffer.
+    std::vector<Hop> hops;
+    Route rt;
+    const NocFaults no_faults;
     for (std::size_t i = 0; i < messages.size(); ++i) {
         const Message &m = messages[i];
         result.totalBytes += m.bytes;
@@ -61,8 +66,11 @@ simulateFlitTraffic(const FlitConfig &config,
         p.flits = std::max<Cycle>(1, ceilDiv<Cycle>(
             static_cast<Cycle>(m.bytes),
             static_cast<Cycle>(config.flitBytes)));
-        p.path = topology->route(m.src, m.dst, m.cls);
-        for (const Hop &hop : p.path) {
+        topology->route(m.src, m.dst, m.cls, no_faults, rt);
+        p.headIndex = hops.size();
+        hops.insert(hops.end(), rt.hops.begin(), rt.hops.end());
+        p.pathEnd = hops.size();
+        for (const Hop &hop : rt.hops) {
             result.hopBytes += m.bytes;
             ++result.totalHops;
             if (hop.routerStop) {
@@ -70,11 +78,11 @@ simulateFlitTraffic(const FlitConfig &config,
                 ++result.routerStops;
             }
         }
-        if (p.path.empty()) {
+        if (rt.hops.empty()) {
             p.finished = true;
             p.doneCycle = p.injectCycle;
         }
-        packets.push_back(std::move(p));
+        packets.push_back(p);
     }
 
     // linkFreeAt[l]: first cycle the link can accept a new packet's
@@ -97,8 +105,8 @@ simulateFlitTraffic(const FlitConfig &config,
                 p.headStallUntil > cycle) {
                 continue;
             }
-            if (p.headIndex < p.path.size()) {
-                const Hop &hop = p.path[p.headIndex];
+            if (p.headIndex < p.pathEnd) {
+                const Hop &hop = hops[p.headIndex];
                 Cycle &free_at =
                     link_free[static_cast<std::size_t>(hop.link)];
                 if (free_at > cycle)
@@ -113,7 +121,7 @@ simulateFlitTraffic(const FlitConfig &config,
                 } else {
                     p.headStallUntil = cycle + 1;
                 }
-                if (p.headIndex == p.path.size()) {
+                if (p.headIndex == p.pathEnd) {
                     // Head arrived; tail drains behind it.
                     p.doneCycle = cycle + p.flits +
                         config.noc.routerLatencyCycles;

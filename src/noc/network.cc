@@ -62,10 +62,18 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
     auto topology = Topology::create(config);
     NocResult result;
 
-    std::stable_sort(messages.begin(), messages.end(),
-        [](const Message &a, const Message &b) {
-            return a.injectCycle < b.injectCycle;
-        });
+    // Engine phases inject every message at cycle 0, so the batch is
+    // usually in order already and the sort is skipped.
+    const auto by_inject = [](const Message &a, const Message &b) {
+        return a.injectCycle < b.injectCycle;
+    };
+    if (!std::is_sorted(messages.begin(), messages.end(), by_inject))
+        std::stable_sort(messages.begin(), messages.end(), by_inject);
+
+    static const NocFaults no_faults;
+    const NocFaults &route_faults = faults ? *faults : no_faults;
+    Route rt; // One hop buffer reused by every message.
+    const Cycle router_latency = config.routerLatencyCycles;
 
     std::vector<Cycle> link_free(
         static_cast<std::size_t>(topology->numLinks()), 0);
@@ -79,12 +87,7 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
         result.totalBytes += m.bytes;
         result.bytesByClass[static_cast<int>(m.cls)] += m.bytes;
 
-        Route rt;
-        if (faults && !faults->empty()) {
-            rt = topology->routeResilient(m.src, m.dst, m.cls, *faults);
-        } else {
-            rt.hops = topology->route(m.src, m.dst, m.cls);
-        }
+        topology->route(m.src, m.dst, m.cls, route_faults, rt);
         const auto &hops = rt.hops;
         Cycle t = m.injectCycle;
         if (rt.rerouted)
@@ -110,9 +113,8 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
         // across bypassed routers), so Re-Link bypasses save both the
         // router latency and the per-hop re-serialization.
         std::size_t seg_begin = 0;
+        std::uint64_t stops = 0;
         for (std::size_t h = 0; h < hops.size(); ++h) {
-            result.hopBytes += m.bytes;
-            ++result.totalHops;
             if (!hops[h].routerStop)
                 continue;
             Cycle start = t;
@@ -124,11 +126,14 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
             for (std::size_t k = seg_begin; k <= h; ++k) {
                 link_free[static_cast<std::size_t>(hops[k].link)] = t;
             }
-            t += config.routerLatencyCycles;
-            result.routerBytes += m.bytes;
-            ++result.routerStops;
+            t += router_latency;
+            ++stops;
             seg_begin = h + 1;
         }
+        result.totalHops += hops.size();
+        result.hopBytes += m.bytes * hops.size();
+        result.routerStops += stops;
+        result.routerBytes += m.bytes * stops;
         latency_sum += static_cast<double>(t - m.injectCycle);
         result.makespan = std::max(result.makespan, t);
     }
@@ -142,11 +147,12 @@ Cycle
 zeroLoadLatency(const NocConfig &config, const Message &message)
 {
     auto topology = Topology::create(config);
-    const auto hops = topology->route(message.src, message.dst,
-                                      message.cls);
+    Route rt;
+    topology->route(message.src, message.dst, message.cls, NocFaults{},
+                    rt);
     const Cycle ser = serializationCycles(config, message.bytes);
     Cycle t = 0;
-    for (const Hop &hop : hops) {
+    for (const Hop &hop : rt.hops) {
         if (hop.routerStop)
             t += ser + config.routerLatencyCycles;
     }

@@ -125,35 +125,32 @@ class MeshTopology : public GridBase
   public:
     using GridBase::GridBase;
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass) const override
+    void
+    route(TileId src, TileId dst, TrafficClass, const NocFaults &faults,
+          Route &out) const override
     {
-        return build(src, dst, true);
-    }
-
-    Route
-    routeResilient(TileId src, TileId dst, TrafficClass,
-                   const NocFaults &faults) const override
-    {
-        Route out;
-        out.hops = build(src, dst, true);
+        out.clear();
+        build(src, dst, true, out.hops);
         if (!crossesDead(out.hops, faults))
-            return out;
-        std::vector<Hop> alt = build(src, dst, false);
-        if (!crossesDead(alt, faults)) {
-            out.hops = std::move(alt);
+            return;
+        build(src, dst, false, out.hops);
+        if (!crossesDead(out.hops, faults)) {
             out.rerouted = true;
-            return out;
+            return;
         }
+        // Both dimension orders cross a dead link: the message is
+        // forced through the XY route.
+        build(src, dst, true, out.hops);
         out.degraded = true;
-        return out;
     }
 
   private:
-    std::vector<Hop>
-    build(TileId src, TileId dst, bool x_first) const
+    /** Overwrite `hops` with the dimension-ordered route. */
+    void
+    build(TileId src, TileId dst, bool x_first,
+          std::vector<Hop> &hops) const
     {
-        std::vector<Hop> hops;
+        hops.clear();
         int r = row(src);
         int c = col(src);
         const int rd = row(dst);
@@ -176,7 +173,6 @@ class MeshTopology : public GridBase
                 }
             }
         }
-        return hops;
     }
 };
 
@@ -195,18 +191,11 @@ class RingTopology : public GridBase
         DITILE_ASSERT(span_ >= 1);
     }
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass cls) const override
+    void
+    route(TileId src, TileId dst, TrafficClass, const NocFaults &faults,
+          Route &out) const override
     {
-        static const NocFaults none;
-        return routeResilient(src, dst, cls, none).hops;
-    }
-
-    Route
-    routeResilient(TileId src, TileId dst, TrafficClass,
-                   const NocFaults &faults) const override
-    {
-        Route out;
+        out.clear();
         int r = row(src);
         int c = col(src);
         const int rd = row(dst);
@@ -261,7 +250,6 @@ class RingTopology : public GridBase
             }
             appendRingHops(out.hops, r, c, dir, steps, span);
         }
-        return out;
     }
 
   private:
@@ -280,12 +268,17 @@ class CrossbarTopology : public Topology
     {
     }
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass) const override
+    void
+    route(TileId src, TileId dst, TrafficClass, const NocFaults &faults,
+          Route &out) const override
     {
+        out.clear();
         if (src == dst)
-            return {};
-        return {{static_cast<LinkId>(dst), true}};
+            return;
+        // The only path is the destination port: a dead one cannot
+        // be dodged.
+        out.hops.push_back({static_cast<LinkId>(dst), true});
+        out.degraded = faults.linkDead(static_cast<LinkId>(dst));
     }
 
     LinkId numLinks() const override { return tiles_; }
@@ -295,16 +288,6 @@ class CrossbarTopology : public Topology
 };
 
 } // namespace
-
-Route
-Topology::routeResilient(TileId src, TileId dst, TrafficClass cls,
-                         const NocFaults &faults) const
-{
-    Route out;
-    out.hops = route(src, dst, cls);
-    out.degraded = crossesDead(out.hops, faults);
-    return out;
-}
 
 std::unique_ptr<Topology>
 Topology::create(const NocConfig &config)

@@ -86,16 +86,25 @@ struct Hop
 };
 
 /**
- * A fault-aware route: the hops plus what it took to find them.
- * `rerouted` means a non-minimal path was chosen to dodge dead links;
- * `degraded` means every candidate path crosses a dead link and the
- * message must retry with backoff before being forced through.
+ * A route: the hops plus what it took to find them. `rerouted` means
+ * a non-minimal path was chosen to dodge dead links; `degraded` means
+ * every candidate path crosses a dead link and the message must retry
+ * with backoff before being forced through.
  */
 struct Route
 {
     std::vector<Hop> hops;
     bool rerouted = false;
     bool degraded = false;
+
+    /** Empty the route, keeping the hop storage. */
+    void
+    clear()
+    {
+        hops.clear();
+        rerouted = false;
+        degraded = false;
+    }
 };
 
 /**
@@ -106,18 +115,15 @@ class Topology
   public:
     virtual ~Topology() = default;
 
-    /** Hops from src to dst (empty if src == dst). */
-    virtual std::vector<Hop> route(TileId src, TileId dst,
-                                   TrafficClass cls) const = 0;
-
     /**
-     * Fault-aware routing. The base implementation returns the
-     * fault-free route and flags it degraded if it crosses a dead
-     * link; grid topologies override it to reroute around faults.
+     * Fill `out` with the route from src to dst (no hops if
+     * src == dst) under `faults`; an empty NocFaults gives the
+     * fault-free route. `out` is overwritten, not appended to: replay
+     * loops pass one Route for every message so its hop storage is
+     * reused instead of reallocated per message.
      */
-    virtual Route routeResilient(TileId src, TileId dst,
-                                 TrafficClass cls,
-                                 const NocFaults &faults) const;
+    virtual void route(TileId src, TileId dst, TrafficClass cls,
+                       const NocFaults &faults, Route &out) const = 0;
 
     /** Number of directed link resources. */
     virtual LinkId numLinks() const = 0;

@@ -256,17 +256,34 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     // Partition digest for the full-recompute fast paths. It
     // summarizes the *planned* assignment, so degraded snapshots whose
-    // owners were re-dealt take the scratch loops regardless.
+    // owners were re-dealt take the scratch loops regardless. It is
+    // built only when it can pay: its dense T x S^2 cross plane must
+    // be no larger than the scratch walks the fast paths replace (L
+    // adjacency scans per full-recompute snapshot, one vertex pass per
+    // all-vertex RNN snapshot). A whole-grid spatial mapping (S = 256)
+    // with one full-recompute snapshot fails this and walks instead.
     std::shared_ptr<const workload::PartitionDigest> pdigest;
     if (use_digest) {
-        for (const auto &sp : snapshot_plans) {
-            if (sp.fullRecompute ||
-                static_cast<VertexId>(sp.rnnVertices.size()) ==
-                    num_vertices) {
-                pdigest = workload::DigestCache::global().partition(
-                    dg, base_owner, compute_slots);
-                break;
+        std::uint64_t walk_steps = 0;
+        for (std::size_t i = 0; i < snapshot_plans.size(); ++i) {
+            const model::SnapshotPlan &sp = snapshot_plans[i];
+            if (sp.fullRecompute) {
+                walk_steps += static_cast<std::uint64_t>(
+                    dg.snapshot(static_cast<SnapshotId>(i))
+                        .numAdjacencies()) *
+                    static_cast<std::uint64_t>(
+                        model_config.numGcnLayers());
             }
+            if (static_cast<VertexId>(sp.rnnVertices.size()) ==
+                num_vertices)
+                walk_steps += static_cast<std::uint64_t>(num_vertices);
+        }
+        const auto slots = static_cast<std::uint64_t>(compute_slots);
+        const std::uint64_t plane_cells =
+            static_cast<std::uint64_t>(num_snapshots) * slots * slots;
+        if (walk_steps > 0 && plane_cells <= walk_steps) {
+            pdigest = workload::DigestCache::global().partition(
+                dg, base_owner, compute_slots);
         }
     }
 

@@ -13,6 +13,8 @@
 #define DITILE_SIM_ENGINE_INTERNAL_HH
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -142,43 +144,82 @@ class DenseTraffic
     template <typename SrcTile, typename DstTile>
     void
     emit(std::vector<noc::Message> &out, noc::TrafficClass cls,
-         Cycle inject, SrcTile &&src_tile, DstTile &&dst_tile) const
+         Cycle inject, SrcTile &&src_tile, DstTile &&dst_tile)
     {
-        std::vector<std::pair<std::uint64_t, noc::Message>> cells;
-        cells.reserve(touched_.size());
+        const auto s = static_cast<std::size_t>(slots_);
+        // Sort compact (key, cell) pairs, then build each Message in
+        // drain order.
+        order_.clear();
         for (const std::size_t idx : touched_) {
-            const ByteCount bytes = bytes_[idx];
-            if (bytes == 0)
+            if (bytes_[idx] == 0)
                 continue;
-            const auto s = static_cast<std::size_t>(slots_);
-            noc::Message m;
-            m.src = src_tile(static_cast<int>(idx / s));
-            m.dst = dst_tile(static_cast<int>(idx % s));
-            m.bytes = bytes;
-            m.injectCycle = inject;
-            m.cls = cls;
             // mix64 is a bijection, so keys are unique and the
             // sort needs no tie-break.
             const std::uint64_t key = mix64(
-                (static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(m.src))
+                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                     src_tile(static_cast<int>(idx / s))))
                  << 32) |
-                static_cast<std::uint32_t>(m.dst));
-            cells.emplace_back(key, m);
+                static_cast<std::uint32_t>(
+                    dst_tile(static_cast<int>(idx % s))));
+            order_.emplace_back(key, idx);
         }
-        std::sort(cells.begin(), cells.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        out.reserve(out.size() + cells.size());
-        for (const auto &[key, m] : cells)
+        sortOrderByKey();
+        out.reserve(out.size() + order_.size());
+        for (const auto &[key, idx] : order_) {
+            noc::Message m;
+            m.src = src_tile(static_cast<int>(idx / s));
+            m.dst = dst_tile(static_cast<int>(idx % s));
+            m.bytes = bytes_[idx];
+            m.injectCycle = inject;
+            m.cls = cls;
             out.push_back(m);
+        }
     }
 
   private:
+    using KeyedCell = std::pair<std::uint64_t, std::size_t>;
+
+    /**
+     * Sort order_ by key. mix64 keys are unique and uniformly spread,
+     * so scattering them by their top bits into at least one bucket
+     * per key leaves about one key per bucket, and a single insertion
+     * pass finishes the sort in expected linear time (a comparison
+     * sort here was most of a whole-grid drain).
+     */
+    void
+    sortOrderByKey()
+    {
+        const std::size_t n = order_.size();
+        if (n < 2)
+            return;
+        const auto bits = static_cast<int>(std::bit_width(n - 1));
+        const int shift = 64 - bits;
+        bucketStart_.assign((std::size_t{1} << bits) + 1, 0);
+        for (const KeyedCell &c : order_)
+            ++bucketStart_[(c.first >> shift) + 1];
+        std::partial_sum(bucketStart_.begin(), bucketStart_.end(),
+                         bucketStart_.begin());
+        scattered_.resize(n);
+        for (const KeyedCell &c : order_)
+            scattered_[bucketStart_[c.first >> shift]++] = c;
+        for (std::size_t i = 1; i < n; ++i) {
+            const KeyedCell c = scattered_[i];
+            std::size_t j = i;
+            for (; j > 0 && scattered_[j - 1].first > c.first; --j)
+                scattered_[j] = scattered_[j - 1];
+            scattered_[j] = c;
+        }
+        order_.swap(scattered_);
+    }
+
     int slots_ = 0;
     std::vector<ByteCount> bytes_;
     std::vector<std::size_t> touched_; ///< First-write cell indices.
+    // emit()'s sort buffers, kept across calls: (mix64 key, cell)
+    // pairs, their bucket scatter, and the bucket offsets.
+    std::vector<KeyedCell> order_;
+    std::vector<KeyedCell> scattered_;
+    std::vector<std::size_t> bucketStart_;
 };
 
 /** Cycles to execute `macs` MACs on `units` MAC units. */

@@ -264,6 +264,14 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
         }
     }
 
+    // Drain the spatial matrix out of the arena before the detailed
+    // timing below: a thread blocked in its nested parallelFor helps
+    // run queued pool tasks, which may evaluate another snapshot on
+    // this thread and reuse the same thread-local arena. Nothing in
+    // the arena may be live across that call.
+    spatial_traffic.emit(w.spatialMsgs, noc::TrafficClass::Spatial, 0,
+                         tile_of_slot, tile_of_slot);
+
     OpCount gnn_crit_macs = 0;
     OpCount rnn_crit_macs = 0;
     for (int sl = 0; sl < compute_slots; ++sl) {
@@ -309,8 +317,6 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
         rnn_crit_macs, ctx.tileMacs * options.rnnMacFraction);
 
     // ---- NoC replay: GNN-phase spatial traffic. ----
-    spatial_traffic.emit(w.spatialMsgs, noc::TrafficClass::Spatial,
-                         0, tile_of_slot, tile_of_slot);
     if (ctx.adaptiveRelink) {
         // The Re-Link span depends on the controller's engaged
         // state, which chains across snapshots: record this

@@ -191,7 +191,9 @@ redundancyFreeSpatialComm(const ApplicationFeatures &app,
 {
     const double scomm = spatialComm(app, tiling_factor, vertex_parts);
     const double total_scomm = totalSpatialComm(app, tiling_factor);
-    if (total_scomm <= 0.0)
+    // Eq. 10 can round a hair below zero when one part holds every
+    // edge; no spatial communication means none to deduplicate.
+    if (total_scomm <= 0.0 || scomm <= 0.0)
         return 0.0;
     // Eq. 13: redundant communication splits between intra- and
     // inter-tile in the same proportion as total communication.

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
@@ -147,24 +149,11 @@ TEST(LoadDigest, SmallDeltasTakeTheIncrementalPath)
     EXPECT_GT(digest.incrementalSnapshots, 0u);
 }
 
-TEST(PartitionDigest, MatchesBruteForceCounts)
+/** Digest planes == scratch counting over every snapshot. */
+void
+expectDigestMatchesScratch(const graph::DynamicGraph &dg,
+                           const std::vector<int> &owners, int slots)
 {
-    const auto dg = digestWorkload(0.06, 29);
-    const int slots = 16;
-    std::vector<double> loads(
-        static_cast<std::size_t>(dg.numVertices()), 0.0);
-    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
-        const auto snap =
-            workload::computeSnapshotLoads(dg.snapshot(t), 2);
-        for (std::size_t v = 0; v < loads.size(); ++v)
-            loads[v] += snap[v];
-    }
-    const auto partition = workload::balancedPartition(loads, slots);
-    std::vector<int> owners(
-        static_cast<std::size_t>(dg.numVertices()));
-    for (VertexId v = 0; v < dg.numVertices(); ++v)
-        owners[static_cast<std::size_t>(v)] = partition.owner(v);
-
     const auto digest =
         workload::buildPartitionDigest(dg, owners, slots);
     EXPECT_GT(digest.incrementalSnapshots, 0u);
@@ -224,6 +213,42 @@ TEST(PartitionDigest, MatchesBruteForceCounts)
                                              row_hist.end()),
                   hist);
     }
+}
+
+TEST(PartitionDigest, MatchesBruteForceCounts)
+{
+    const auto dg = digestWorkload(0.06, 29);
+    const int slots = 16;
+    std::vector<double> loads(
+        static_cast<std::size_t>(dg.numVertices()), 0.0);
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        const auto snap =
+            workload::computeSnapshotLoads(dg.snapshot(t), 2);
+        for (std::size_t v = 0; v < loads.size(); ++v)
+            loads[v] += snap[v];
+    }
+    const auto partition = workload::balancedPartition(loads, slots);
+    std::vector<int> owners(
+        static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v)
+        owners[static_cast<std::size_t>(v)] = partition.owner(v);
+    expectDigestMatchesScratch(dg, owners, slots);
+}
+
+TEST(PartitionDigest, MatchesBruteForceCountsAtWholeGridSlots)
+{
+    // 256 slots is the whole-grid spatial mapping (MEGA's). The
+    // engine's cost rule no longer builds this digest at fleet
+    // sizes, so its planes are pinned here instead.
+    const auto dg = digestWorkload(0.06, 29);
+    const int slots = 256;
+    std::vector<int> owners(
+        static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v)
+        owners[static_cast<std::size_t>(v)] =
+            static_cast<int>((static_cast<std::uint64_t>(v) * 37) %
+                             slots);
+    expectDigestMatchesScratch(dg, owners, slots);
 }
 
 // ---------------------------------------------------------------------
@@ -319,6 +344,48 @@ TEST(DigestIdentity, PlanJsonUnaffectedByDigestGate)
     const auto parsed = sim::ExecutionPlan::fromJson(with_digest);
     EXPECT_EQ(parsed.workloadDigest,
               workload::loadDigestKey(dg, mconfig.numGcnLayers()));
+}
+
+TEST(DigestIdentity, CostRuleSkipsWholeGridDigestAtFleetSize)
+{
+    // One fleet_sweep point: WD at scale 0.25, T = 8. The column
+    // mappings (16 slots) still take the digest fast paths; MEGA's
+    // 256-slot T x S^2 cross plane outweighs the one full-recompute
+    // walk it would replace, so MEGA takes the scratch path. Results
+    // match the digest-off run either way.
+    graph::DatasetOptions options;
+    options.scale = 0.25;
+    options.numSnapshots = 8;
+    options.dissimilarity = 0.02;
+    options.seed = 7;
+    const auto dg = graph::makeDataset("WD", options);
+    const model::DgnnConfig mconfig;
+    Tracer &tracer = Tracer::global();
+    tracer.reset();
+    tracer.enable(false, true);
+    Tracer::setTrackBase(0);
+    for (const std::string variant : {"ReaDy", "DiTile", "MEGA"}) {
+        SCOPED_TRACE(variant);
+        sim::RunResult off;
+        {
+            DigestGate gate(false);
+            off = runVariant(variant, dg, mconfig);
+        }
+        workload::DigestCache::global().clear();
+        const auto on = runVariant(variant, dg, mconfig);
+        expectIdentical(off, on);
+        ASSERT_TRUE(on.stats.has("engine.digest_full_fastpath"));
+        const double full_fastpath =
+            on.stats.get("engine.digest_full_fastpath");
+        if (variant == "MEGA") {
+            EXPECT_EQ(full_fastpath, 0.0);
+            EXPECT_EQ(on.stats.get("engine.digest_rnn_fastpath"), 0.0);
+        } else {
+            EXPECT_GT(full_fastpath, 0.0);
+        }
+    }
+    tracer.reset();
+    workload::DigestCache::global().clear();
 }
 
 // ---------------------------------------------------------------------

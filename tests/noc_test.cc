@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.hh"
 #include "noc/network.hh"
@@ -28,14 +30,23 @@ config4x4(TopologyKind kind, int relink_span = 4)
     return c;
 }
 
-/** Walk a route and return the vertex sequence it traverses. */
+/** The fault-free hops from src to dst. */
+std::vector<Hop>
+hopsOf(const Topology &topo, TileId src, TileId dst,
+       TrafficClass cls = TrafficClass::Spatial)
+{
+    Route rt;
+    topo.route(src, dst, cls, NocFaults{}, rt);
+    return rt.hops;
+}
+
+/** Router stops on the fault-free route from src to dst. */
 int
 routeStops(const NocConfig &config, TileId src, TileId dst)
 {
     auto topo = Topology::create(config);
     int stops = 0;
-    for (const auto &hop : topo->route(src, dst,
-                                       TrafficClass::Spatial))
+    for (const auto &hop : hopsOf(*topo, src, dst))
         stops += hop.routerStop;
     return stops;
 }
@@ -62,13 +73,13 @@ TEST(MeshTopology, XyRouteLengths)
     const auto config = config4x4(TopologyKind::Mesh);
     auto topo = Topology::create(config);
     // (0,0) -> (3,3): 3 horizontal + 3 vertical hops.
-    EXPECT_EQ(topo->route(0, 15, TrafficClass::Spatial).size(), 6u);
+    EXPECT_EQ(hopsOf(*topo, 0, 15, TrafficClass::Spatial).size(), 6u);
     // Same tile: empty route.
-    EXPECT_TRUE(topo->route(5, 5, TrafficClass::Spatial).empty());
+    EXPECT_TRUE(hopsOf(*topo, 5, 5, TrafficClass::Spatial).empty());
     // Neighbors: one hop.
-    EXPECT_EQ(topo->route(0, 1, TrafficClass::Spatial).size(), 1u);
+    EXPECT_EQ(hopsOf(*topo, 0, 1, TrafficClass::Spatial).size(), 1u);
     // Mesh has no wraparound: (row 0, col 0) -> (row 0, col 3) is 3.
-    EXPECT_EQ(topo->route(0, 3, TrafficClass::Spatial).size(), 3u);
+    EXPECT_EQ(hopsOf(*topo, 0, 3, TrafficClass::Spatial).size(), 3u);
 }
 
 TEST(RingTopology, WrapsAroundMinimalDirection)
@@ -76,17 +87,17 @@ TEST(RingTopology, WrapsAroundMinimalDirection)
     const auto config = config4x4(TopologyKind::Ring);
     auto topo = Topology::create(config);
     // Column 0 -> column 3 wraps West: 1 hop.
-    EXPECT_EQ(topo->route(0, 3, TrafficClass::Temporal).size(), 1u);
+    EXPECT_EQ(hopsOf(*topo, 0, 3, TrafficClass::Temporal).size(), 1u);
     // Row 0 -> row 3 wraps North: 1 hop.
-    EXPECT_EQ(topo->route(0, 12, TrafficClass::Spatial).size(), 1u);
+    EXPECT_EQ(hopsOf(*topo, 0, 12, TrafficClass::Spatial).size(), 1u);
 }
 
 TEST(CrossbarTopology, SingleHop)
 {
     const auto config = config4x4(TopologyKind::Crossbar);
     auto topo = Topology::create(config);
-    EXPECT_EQ(topo->route(0, 15, TrafficClass::Spatial).size(), 1u);
-    EXPECT_TRUE(topo->route(7, 7, TrafficClass::Spatial).empty());
+    EXPECT_EQ(hopsOf(*topo, 0, 15, TrafficClass::Spatial).size(), 1u);
+    EXPECT_TRUE(hopsOf(*topo, 7, 7, TrafficClass::Spatial).empty());
 }
 
 TEST(ReconfigurableTopology, BypassReducesRouterStops)
@@ -192,6 +203,64 @@ TEST(SimulateTraffic, InjectCycleDelaysService)
     m.injectCycle = 1000;
     const auto res = simulateTraffic(config, {m});
     EXPECT_GE(res.makespan, 1000u);
+}
+
+/** Every NocResult field equal, doubles bit-exact. */
+void
+expectSameResult(const NocResult &a, const NocResult &b)
+{
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.avgLatency, b.avgLatency);
+    EXPECT_EQ(a.numMessages, b.numMessages);
+    EXPECT_EQ(a.totalBytes, b.totalBytes);
+    EXPECT_EQ(a.hopBytes, b.hopBytes);
+    EXPECT_EQ(a.routerBytes, b.routerBytes);
+    EXPECT_EQ(a.totalHops, b.totalHops);
+    EXPECT_EQ(a.routerStops, b.routerStops);
+    for (int c = 0; c < 4; ++c)
+        EXPECT_EQ(a.bytesByClass[c], b.bytesByClass[c]);
+    EXPECT_EQ(a.reroutedMessages, b.reroutedMessages);
+    EXPECT_EQ(a.retriedMessages, b.retriedMessages);
+    EXPECT_EQ(a.retryBackoffCycles, b.retryBackoffCycles);
+}
+
+TEST(SimulateTraffic, OutOfOrderBatchEqualsStableSortedReplay)
+{
+    // Out-of-order inject cycles with ties that contend for the
+    // same links: the replay must serve the batch in inject order
+    // with ties in vector order, i.e. exactly like a caller-side
+    // stable sort (which then takes the already-sorted path).
+    const auto config = config4x4(TopologyKind::Mesh);
+    Rng rng(23);
+    std::vector<Message> msgs;
+    for (int i = 0; i < 200; ++i) {
+        Message m;
+        m.src = static_cast<TileId>(rng.uniformInt(0, 15));
+        m.dst = static_cast<TileId>(rng.uniformInt(0, 15));
+        m.bytes = static_cast<ByteCount>(rng.uniformInt(1, 4096));
+        m.injectCycle = static_cast<Cycle>(rng.uniformInt(0, 3)) * 40;
+        msgs.push_back(m);
+    }
+    const auto by_inject = [](const Message &a, const Message &b) {
+        return a.injectCycle < b.injectCycle;
+    };
+    ASSERT_FALSE(std::is_sorted(msgs.begin(), msgs.end(), by_inject));
+    std::vector<Message> sorted = msgs;
+    std::stable_sort(sorted.begin(), sorted.end(), by_inject);
+    const auto want = simulateTraffic(config, sorted);
+    expectSameResult(simulateTraffic(config, msgs), want);
+
+    // Tie order is observable: reversing each tie group changes the
+    // outcome, so a reordering sort would fail the check above.
+    std::vector<Message> reversed_ties = sorted;
+    for (auto it = reversed_ties.begin(); it != reversed_ties.end();) {
+        const auto end = std::upper_bound(it, reversed_ties.end(), *it,
+                                          by_inject);
+        std::reverse(it, end);
+        it = end;
+    }
+    EXPECT_NE(simulateTraffic(config, reversed_ties).avgLatency,
+              want.avgLatency);
 }
 
 TEST(SimulateTraffic, ByteAccountingConserved)
@@ -331,6 +400,311 @@ TEST(TrafficPatterns, RelinkBeatsPlainRingOnColumnGather)
     EXPECT_LT(re_res.makespan, ring_res.makespan);
 }
 
+// ---------------------------------------------------------------------
+// Reference copy of the routing oracle before it had one entry point:
+// every topology had route() (fault-free hops) and routeResilient()
+// (hops plus rerouted/degraded flags under faults), both returning
+// fresh vectors. Topology::route must reproduce both exactly.
+// ---------------------------------------------------------------------
+
+namespace reference {
+
+bool
+crossesDead(const std::vector<Hop> &hops, const NocFaults &faults)
+{
+    if (faults.deadLinks.empty())
+        return false;
+    for (const Hop &h : hops) {
+        if (faults.linkDead(h.link))
+            return true;
+    }
+    return false;
+}
+
+struct Grid
+{
+    int rows;
+    int cols;
+
+    TileId tile(int r, int c) const { return r * cols + c; }
+
+    void
+    step(int &r, int &c, GridDir dir) const
+    {
+        switch (dir) {
+          case GridDir::East: c = (c + 1) % cols; break;
+          case GridDir::West: c = (c + cols - 1) % cols; break;
+          case GridDir::South: r = (r + 1) % rows; break;
+          case GridDir::North: r = (r + rows - 1) % rows; break;
+        }
+    }
+
+    bool
+    ringPathDead(int r, int c, GridDir dir, int steps,
+                 const NocFaults &faults) const
+    {
+        if (faults.deadLinks.empty())
+            return false;
+        while (steps-- > 0) {
+            if (faults.linkDead(gridLinkId(tile(r, c), dir)))
+                return true;
+            step(r, c, dir);
+        }
+        return false;
+    }
+
+    void
+    appendRingHops(std::vector<Hop> &hops, int &r, int &c, GridDir dir,
+                   int steps, int span) const
+    {
+        int until_stop = span;
+        while (steps-- > 0) {
+            const bool last = steps == 0;
+            const bool stop = last || --until_stop == 0;
+            if (stop)
+                until_stop = span;
+            hops.push_back({gridLinkId(tile(r, c), dir), stop});
+            step(r, c, dir);
+        }
+    }
+
+    std::vector<Hop>
+    meshBuild(TileId src, TileId dst, bool x_first) const
+    {
+        std::vector<Hop> hops;
+        int r = src / cols;
+        int c = src % cols;
+        const int rd = dst / cols;
+        const int cd = dst % cols;
+        for (int phase = 0; phase < 2; ++phase) {
+            const bool horizontal = (phase == 0) == x_first;
+            if (horizontal) {
+                while (c != cd) {
+                    const GridDir d = cd > c ? GridDir::East
+                                             : GridDir::West;
+                    hops.push_back({gridLinkId(tile(r, c), d), true});
+                    c += cd > c ? 1 : -1;
+                }
+            } else {
+                while (r != rd) {
+                    const GridDir d = rd > r ? GridDir::South
+                                             : GridDir::North;
+                    hops.push_back({gridLinkId(tile(r, c), d), true});
+                    r += rd > r ? 1 : -1;
+                }
+            }
+        }
+        return hops;
+    }
+
+    Route
+    meshResilient(TileId src, TileId dst, const NocFaults &faults) const
+    {
+        Route out;
+        out.hops = meshBuild(src, dst, true);
+        if (!crossesDead(out.hops, faults))
+            return out;
+        std::vector<Hop> alt = meshBuild(src, dst, false);
+        if (!crossesDead(alt, faults)) {
+            out.hops = std::move(alt);
+            out.rerouted = true;
+            return out;
+        }
+        out.degraded = true;
+        return out;
+    }
+
+    Route
+    ringResilient(TileId src, TileId dst, int span_cfg,
+                  const NocFaults &faults) const
+    {
+        Route out;
+        int r = src / cols;
+        int c = src % cols;
+        const int rd = dst / cols;
+        const int cd = dst % cols;
+        if (c != cd) {
+            const int fwd = (cd - c + cols) % cols;
+            const bool min_east = fwd <= cols / 2;
+            const int min_steps = min_east ? fwd : cols - fwd;
+            GridDir dir = min_east ? GridDir::East : GridDir::West;
+            int steps = min_steps;
+            if (ringPathDead(r, c, dir, steps, faults)) {
+                const GridDir alt = min_east ? GridDir::West
+                                             : GridDir::East;
+                if (!ringPathDead(r, c, alt, cols - min_steps,
+                                  faults)) {
+                    dir = alt;
+                    steps = cols - min_steps;
+                    out.rerouted = true;
+                } else {
+                    out.degraded = true;
+                }
+            }
+            appendRingHops(out.hops, r, c, dir, steps, 1);
+        }
+        if (r != rd) {
+            int span = span_cfg;
+            if (const int ov = faults.spanOverride(c))
+                span = ov;
+            const int fwd = (rd - r + rows) % rows;
+            const bool min_south = fwd <= rows / 2;
+            const int min_steps = min_south ? fwd : rows - fwd;
+            GridDir dir = min_south ? GridDir::South : GridDir::North;
+            int steps = min_steps;
+            if (ringPathDead(r, c, dir, steps, faults)) {
+                const GridDir alt = min_south ? GridDir::North
+                                              : GridDir::South;
+                if (!ringPathDead(r, c, alt, rows - min_steps,
+                                  faults)) {
+                    dir = alt;
+                    steps = rows - min_steps;
+                    out.rerouted = true;
+                } else {
+                    out.degraded = true;
+                }
+            }
+            appendRingHops(out.hops, r, c, dir, steps, span);
+        }
+        return out;
+    }
+};
+
+/** The old routeResilient(src, dst, cls, faults). */
+Route
+routeResilient(const NocConfig &config, TileId src, TileId dst,
+               const NocFaults &faults)
+{
+    const Grid grid{config.rows, config.cols};
+    switch (config.topology) {
+      case TopologyKind::Mesh:
+        return grid.meshResilient(src, dst, faults);
+      case TopologyKind::Ring:
+        return grid.ringResilient(src, dst, 1, faults);
+      case TopologyKind::Reconfigurable:
+        return grid.ringResilient(src, dst, config.reLinkSpan, faults);
+      case TopologyKind::Crossbar:
+        break;
+    }
+    // Crossbar inherited the base class: fault-free hops, flagged
+    // degraded when they cross a dead link.
+    Route out;
+    if (src != dst)
+        out.hops = {{static_cast<LinkId>(dst), true}};
+    out.degraded = crossesDead(out.hops, faults);
+    return out;
+}
+
+/** The old fault-free route(src, dst, cls). */
+std::vector<Hop>
+route(const NocConfig &config, TileId src, TileId dst)
+{
+    const Grid grid{config.rows, config.cols};
+    if (config.topology == TopologyKind::Mesh)
+        return grid.meshBuild(src, dst, true);
+    return routeResilient(config, src, dst, NocFaults{}).hops;
+}
+
+} // namespace reference
+
+bool
+sameHops(const std::vector<Hop> &a, const std::vector<Hop> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Hop &x, const Hop &y) {
+                          return x.link == y.link &&
+                              x.routerStop == y.routerStop;
+                      });
+}
+
+struct RouteGrid
+{
+    TopologyKind kind;
+    int dim;
+};
+
+std::string
+gridName(const RouteGrid &g)
+{
+    return std::string(topologyKindName(g.kind)) + "_" +
+        std::to_string(g.dim) + "x" + std::to_string(g.dim);
+}
+
+/** Print the grid's name, not its bytes, in test names and failures. */
+void
+PrintTo(const RouteGrid &g, std::ostream *os)
+{
+    *os << gridName(g);
+}
+
+class RouteEquivalence : public ::testing::TestWithParam<RouteGrid>
+{
+};
+
+TEST_P(RouteEquivalence, MatchesPreviousEntryPoints)
+{
+    NocConfig config = config4x4(GetParam().kind);
+    config.rows = GetParam().dim;
+    config.cols = GetParam().dim;
+    auto topo = Topology::create(config);
+
+    // Every 7th link dead (dense enough that some pairs reroute and
+    // some have no fault-free path) plus stuck bypass switches in
+    // two columns.
+    NocFaults faults;
+    for (LinkId l = 3; l < topo->numLinks(); l += 7)
+        faults.deadLinks.push_back(l);
+    faults.columnSpanOverride.assign(
+        static_cast<std::size_t>(config.cols), 0);
+    faults.columnSpanOverride[1] = 2;
+    faults.columnSpanOverride[2] = 3;
+
+    const NocFaults none;
+    // One Route for every call, as the replay loops use it.
+    Route rt;
+    std::uint64_t rerouted = 0;
+    std::uint64_t degraded = 0;
+    const int tiles = config.numTiles();
+    for (TileId src = 0; src < tiles; ++src) {
+        for (TileId dst = 0; dst < tiles; ++dst) {
+            SCOPED_TRACE(::testing::Message()
+                         << "src=" << src << " dst=" << dst);
+            topo->route(src, dst, TrafficClass::Spatial, none, rt);
+            ASSERT_TRUE(sameHops(rt.hops,
+                                 reference::route(config, src, dst)));
+            ASSERT_FALSE(rt.rerouted);
+            ASSERT_FALSE(rt.degraded);
+
+            const Route want =
+                reference::routeResilient(config, src, dst, faults);
+            topo->route(src, dst, TrafficClass::Spatial, faults, rt);
+            ASSERT_TRUE(sameHops(rt.hops, want.hops));
+            ASSERT_EQ(rt.rerouted, want.rerouted);
+            ASSERT_EQ(rt.degraded, want.degraded);
+            rerouted += rt.rerouted;
+            degraded += rt.degraded;
+        }
+    }
+    // The fault set must exercise the flags it is meant to cover.
+    EXPECT_GT(degraded, 0u);
+    if (GetParam().kind != TopologyKind::Crossbar)
+        EXPECT_GT(rerouted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, RouteEquivalence,
+    ::testing::Values(RouteGrid{TopologyKind::Mesh, 4},
+                      RouteGrid{TopologyKind::Mesh, 16},
+                      RouteGrid{TopologyKind::Ring, 4},
+                      RouteGrid{TopologyKind::Ring, 16},
+                      RouteGrid{TopologyKind::Crossbar, 4},
+                      RouteGrid{TopologyKind::Crossbar, 16},
+                      RouteGrid{TopologyKind::Reconfigurable, 4},
+                      RouteGrid{TopologyKind::Reconfigurable, 16}),
+    [](const ::testing::TestParamInfo<RouteGrid> &info) {
+        return gridName(info.param);
+    });
+
 /** Routes must terminate at the destination for every topology. */
 class RouteValidity : public ::testing::TestWithParam<TopologyKind>
 {
@@ -342,8 +716,7 @@ TEST_P(RouteValidity, EveryPairRoutesWithFinalStop)
     auto topo = Topology::create(config);
     for (TileId src = 0; src < 16; ++src) {
         for (TileId dst = 0; dst < 16; ++dst) {
-            const auto hops = topo->route(src, dst,
-                                          TrafficClass::Spatial);
+            const auto hops = hopsOf(*topo, src, dst);
             if (src == dst) {
                 EXPECT_TRUE(hops.empty());
                 continue;

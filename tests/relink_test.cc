@@ -25,11 +25,11 @@ TEST(RelinkController, StopsFormulaMatchesRingTopology)
         config.reLinkSpan = span;
         auto topo = Topology::create(config);
         for (int d = 1; d <= 8; ++d) {
-            const auto hops = topo->route(
-                0, static_cast<TileId>(d * 16),
-                TrafficClass::Spatial);
+            Route rt;
+            topo->route(0, static_cast<TileId>(d * 16),
+                        TrafficClass::Spatial, NocFaults{}, rt);
             int stops = 0;
-            for (const auto &h : hops)
+            for (const auto &h : rt.hops)
                 stops += h.routerStop;
             EXPECT_EQ(stops,
                       RelinkController::stopsForDistance(d, span))

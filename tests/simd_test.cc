@@ -328,6 +328,82 @@ TEST(DenseTraffic, TouchedDrainMatchesDenseReference)
     EXPECT_EQ(11u, reused[0].bytes);
 }
 
+// The drain order is part of every NoC result (the greedy link
+// scheduler serves messages in vector order), so it is pinned by
+// hash: a 256-slot whole-grid matrix and a 16-slot boundary between
+// two tile columns, temporal then reuse appended to one vector as the
+// engine does. The values were recorded before emit() switched to
+// sorting compact (key, cell) pairs.
+
+/** FNV-1a over every message field, in sequence order. */
+std::uint64_t
+messageSequenceHash(const std::vector<noc::Message> &msgs)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (const noc::Message &m : msgs) {
+        mix(static_cast<std::uint64_t>(m.src));
+        mix(static_cast<std::uint64_t>(m.dst));
+        mix(m.bytes);
+        mix(m.injectCycle);
+        mix(static_cast<std::uint64_t>(m.cls));
+    }
+    return h;
+}
+
+/** Seeded xorshift adds into `traffic`; `diagonal` forces src == dst. */
+void
+seededAdds(sim::detail::DenseTraffic &traffic, int slots, int count,
+           std::uint64_t seed, bool diagonal)
+{
+    std::uint64_t x = seed;
+    for (int i = 0; i < count; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const int src = static_cast<int>(x % slots);
+        const int dst =
+            diagonal ? src : static_cast<int>((x >> 20) % slots);
+        traffic.add(src, dst, 1 + (x >> 40) % 4096);
+    }
+}
+
+TEST(DenseTraffic, DrainOrderIsPinned)
+{
+    std::vector<noc::Message> spatial;
+    {
+        sim::detail::DenseTraffic traffic(256);
+        seededAdds(traffic, 256, 20000, 0x9e3779b97f4a7c15ull, false);
+        traffic.clearDiagonal();
+        const auto tile = [](int s) { return static_cast<TileId>(s); };
+        traffic.emit(spatial, noc::TrafficClass::Spatial, 0, tile,
+                     tile);
+    }
+    EXPECT_EQ(spatial.size(), 17148u);
+    EXPECT_EQ(messageSequenceHash(spatial), 801397734318940277ull);
+
+    std::vector<noc::Message> boundary;
+    {
+        const int slots = 16;
+        const auto src_tile = [](int sl) {
+            return static_cast<TileId>(sl * 16 + 3);
+        };
+        const auto dst_tile = [](int sl) {
+            return static_cast<TileId>(sl * 16 + 9);
+        };
+        sim::detail::DenseTraffic temporal(slots);
+        seededAdds(temporal, slots, 40, 17, true);
+        temporal.emit(boundary, noc::TrafficClass::Temporal, 0,
+                      src_tile, dst_tile);
+        sim::detail::DenseTraffic reuse(slots);
+        seededAdds(reuse, slots, 200, 29, false);
+        reuse.emit(boundary, noc::TrafficClass::Reuse, 0, src_tile,
+                   dst_tile);
+    }
+    EXPECT_EQ(boundary.size(), 155u);
+    EXPECT_EQ(messageSequenceHash(boundary), 14976085344574427935ull);
+}
+
 // Batch planning: plans built through planBatch / a SharedFrontEnd
 // must serialize byte-identically to per-accelerator planning, at
 // thread width 1 and 4.

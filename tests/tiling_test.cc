@@ -147,6 +147,24 @@ TEST(RedundancyFreeComm, ClampedToValidRange)
     }
 }
 
+TEST(RedundancyFreeComm, NegativeSpatialCommGivesZero)
+{
+    // The seed-1 paper-regime headline workload (engine_test's
+    // HeadlineOrdering) at a = 2, Gv = 1: one part holds every edge,
+    // so Eq. 10 subtracts two equal volumes and rounds to -2^-34.
+    ApplicationFeatures app;
+    app.gcnLayers = 2;
+    app.numSnapshots = 8;
+    app.featureDim = 128;
+    app.residentDims = 768;
+    app.bytesPerValue = 4;
+    app.vertices.assign(8, 2000.0);
+    app.edges = {32000, 31998, 31996, 31994, 31994, 31992, 31992, 31992};
+    app.dissimilarity = {0.1, 0.1005, 0.1, 0.1, 0.1, 0.1, 0.1005};
+    ASSERT_LT(spatialComm(app, 2, 1), 0.0);
+    EXPECT_EQ(redundancyFreeSpatialComm(app, 2, 1), 0.0);
+}
+
 TEST(ReuseComm, ZeroForSingleGroup)
 {
     const auto app = uniformApp(100, 400, 4);
