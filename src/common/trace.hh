@@ -165,6 +165,28 @@ class Tracer
     static void setTrackBase(std::uint64_t base);
     static std::uint64_t trackBase();
 
+    /**
+     * Sets the calling thread's track base for its lifetime and
+     * restores the previous base on exit, exceptions included. A pool
+     * thread that helps run another task while it waits in a nested
+     * parallelFor gets its own base back when that task returns.
+     */
+    class TrackBaseScope
+    {
+      public:
+        explicit TrackBaseScope(std::uint64_t base)
+            : previous_(trackBase())
+        {
+            setTrackBase(base);
+        }
+        ~TrackBaseScope() { setTrackBase(previous_); }
+        TrackBaseScope(const TrackBaseScope &) = delete;
+        TrackBaseScope &operator=(const TrackBaseScope &) = delete;
+
+      private:
+        std::uint64_t previous_;
+    };
+
     /** Deterministic Chrome trace_event JSON (sorted, compact). */
     std::string toChromeJson() const;
     void writeChromeJson(const std::string &path) const;

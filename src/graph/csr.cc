@@ -73,6 +73,29 @@ Csr::fromSortedEdges(VertexId num_vertices, const std::vector<Edge> &edges)
     return g;
 }
 
+Csr
+Csr::fromRows(VertexId num_vertices, std::vector<EdgeId> row_ptr,
+              std::vector<VertexId> adj)
+{
+    DITILE_ASSERT(num_vertices >= 0);
+    DITILE_ASSERT(row_ptr.size() ==
+                      static_cast<std::size_t>(num_vertices) + 1,
+                  "row pointer has ", row_ptr.size(), " entries for ",
+                  num_vertices, " vertices");
+    DITILE_ASSERT(row_ptr.front() == 0 &&
+                      row_ptr.back() == static_cast<EdgeId>(adj.size()),
+                  "row pointer does not span the adjacency");
+    DITILE_ASSERT(std::is_sorted(row_ptr.begin(), row_ptr.end()),
+                  "row pointer decreases");
+    DITILE_ASSERT(adj.size() % 2 == 0,
+                  "symmetric adjacency has an odd entry count");
+    Csr g(0);
+    g.numVertices_ = num_vertices;
+    g.rowPtr_ = std::move(row_ptr);
+    g.adj_ = std::move(adj);
+    return g;
+}
+
 bool
 Csr::hasEdge(VertexId u, VertexId v) const
 {

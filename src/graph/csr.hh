@@ -48,6 +48,17 @@ class Csr
     static Csr fromSortedEdges(VertexId num_vertices,
                                const std::vector<Edge> &edges);
 
+    /**
+     * Adopt prebuilt symmetric CSR arrays: row_ptr has
+     * num_vertices + 1 nondecreasing entries from 0 to adj.size(), and
+     * every row of adj is sorted and mirrored by the reverse entries.
+     * Only the row-pointer shape is validated (O(V)); the caller
+     * guarantees the per-entry invariants that fromEdges establishes.
+     */
+    static Csr fromRows(VertexId num_vertices,
+                        std::vector<EdgeId> row_ptr,
+                        std::vector<VertexId> adj);
+
     VertexId numVertices() const { return numVertices_; }
 
     /** Undirected edge count. */

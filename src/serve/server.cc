@@ -416,9 +416,11 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
     auto runOne = [&](std::size_t i) {
         PendingQuery &pq = batch[i];
         // Disjoint trace-track group per request, so concurrent
-        // inferences never interleave on one track.
-        Tracer::setTrackBase((1 + pq.request->id) *
-                             Tracer::kTracksPerRun);
+        // inferences never interleave on one track. Scoped: a worker
+        // that runs this while waiting in a nested parallelFor gets
+        // its own request's base back afterwards.
+        const Tracer::TrackBaseScope track_scope(
+            (1 + pq.request->id) * Tracer::kTracksPerRun);
         try {
             pq.result = runner_.infer(*pq.dg, options_.model, faults);
             pq.serviceUs = serviceUsOf(pq.result);

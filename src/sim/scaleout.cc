@@ -83,6 +83,188 @@ restrictPartition(const graph::VertexPartition &global,
 
 } // namespace
 
+ChipShards::ChipShards(const graph::DynamicGraph &dg,
+                       const ScaleOutSpec &spec)
+    : dg_(dg), chips_(spec.chips)
+{
+    const VertexId num_vertices = dg.numVertices();
+    const auto t_count = static_cast<std::size_t>(dg.numSnapshots());
+    const auto chips_sz = static_cast<std::size_t>(chips_);
+    validateSpec(spec, num_vertices);
+
+    // Local ids ascend with global ids inside every chip, so a
+    // filtered global row is already a sorted shard row and a
+    // canonical global edge maps to a canonical local one.
+    chipOf_.resize(static_cast<std::size_t>(num_vertices));
+    localId_.resize(static_cast<std::size_t>(num_vertices));
+    globalIds_.resize(chips_sz);
+    for (VertexId v = 0; v < num_vertices; ++v) {
+        const auto vi = static_cast<std::size_t>(v);
+        chipOf_[vi] = chipOfVertex(spec, v);
+        auto &ids = globalIds_[static_cast<std::size_t>(chipOf_[vi])];
+        localId_[vi] = static_cast<VertexId>(ids.size());
+        ids.push_back(v);
+    }
+    for (int c = 0; c < chips_; ++c) {
+        if (globalIds_[static_cast<std::size_t>(c)].empty())
+            DITILE_THROW("scale-out assignment leaves chip ", c,
+                         " empty");
+    }
+
+    // One pass over the deltas: intra-chip changes become the shard
+    // deltas, cross-chip changes step both endpoints' egress (each
+    // chip ships its endpoint's state to the other side).
+    changes_.assign(chips_sz, std::vector<Changes>(t_count));
+    egress_.assign(t_count * chips_sz, 0);
+    built_.assign(chips_sz, false);
+    for (std::size_t t = 1; t < t_count; ++t) {
+        std::uint64_t *step = egress_.data() + t * chips_sz;
+        const auto bucket = [&](const graph::Edge &e, bool added) {
+            const auto ui = static_cast<std::size_t>(e.first);
+            const auto vi = static_cast<std::size_t>(e.second);
+            const auto cu = static_cast<std::size_t>(chipOf_[ui]);
+            const auto cv = static_cast<std::size_t>(chipOf_[vi]);
+            if (cu == cv) {
+                Changes &ch = changes_[cu][t];
+                (added ? ch.added : ch.removed)
+                    .emplace_back(std::min(localId_[ui], localId_[vi]),
+                                  std::max(localId_[ui], localId_[vi]));
+            } else {
+                // Unsigned wrap-around: summing the steps onto
+                // snapshot 0's counts makes ~0 a decrement.
+                const std::uint64_t d = added ? 1 : ~std::uint64_t{0};
+                step[cu] += d;
+                step[cv] += d;
+            }
+        };
+        const graph::GraphDelta &delta =
+            dg.delta(static_cast<SnapshotId>(t));
+        for (const auto &e : delta.addedEdges())
+            bucket(e, true);
+        for (const auto &e : delta.removedEdges())
+            bucket(e, false);
+    }
+}
+
+const std::vector<VertexId> &
+ChipShards::globalIds(int chip) const
+{
+    return globalIds_[static_cast<std::size_t>(chip)];
+}
+
+/** Append global vertex v's same-chip neighbors in g as local ids;
+ * returns the number of cross-chip entries skipped. */
+std::uint64_t
+ChipShards::appendRow(const graph::Csr &g, int chip, VertexId v,
+                      std::vector<VertexId> &adj) const
+{
+    std::uint64_t skipped = 0;
+    for (const VertexId u : g.neighbors(v)) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (chipOf_[ui] == chip)
+            adj.push_back(localId_[ui]);
+        else
+            ++skipped;
+    }
+    return skipped;
+}
+
+/** Snapshot 0 of chip `chip`'s shard by one filtered row walk; the
+ * skipped entries are the chip's snapshot-0 egress. */
+graph::Csr
+ChipShards::filterRows(int chip)
+{
+    const graph::Csr &g = dg_.snapshot(0);
+    const std::vector<VertexId> &ids = globalIds(chip);
+    const auto n = static_cast<VertexId>(ids.size());
+    std::vector<EdgeId> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<VertexId> adj;
+    std::uint64_t &egress = egress_[static_cast<std::size_t>(chip)];
+    egress = 0;
+    for (VertexId lv = 0; lv < n; ++lv) {
+        egress += appendRow(g, chip, ids[static_cast<std::size_t>(lv)],
+                            adj);
+        row_ptr[static_cast<std::size_t>(lv) + 1] =
+            static_cast<EdgeId>(adj.size());
+    }
+    return graph::Csr::fromRows(n, std::move(row_ptr), std::move(adj));
+}
+
+/** The next shard snapshot from `prev`: rows of local vertices outside
+ * `touched` (sorted) are copied in runs; touched rows are re-filtered
+ * from the global snapshot g. */
+graph::Csr
+ChipShards::patchRows(const graph::Csr &prev, const graph::Csr &g,
+                      int chip,
+                      const std::vector<VertexId> &touched) const
+{
+    const std::vector<VertexId> &ids = globalIds(chip);
+    const VertexId n = prev.numVertices();
+    const std::vector<EdgeId> &prev_ptr = prev.rowPtr();
+    const std::vector<VertexId> &prev_adj = prev.adjacency();
+    std::vector<EdgeId> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<VertexId> adj;
+    adj.reserve(prev_adj.size() + 2 * touched.size());
+    const auto copy_run = [&](VertexId begin, VertexId end) {
+        const auto b = static_cast<std::size_t>(begin);
+        const auto e = static_cast<std::size_t>(end);
+        const EdgeId shift =
+            static_cast<EdgeId>(adj.size()) - prev_ptr[b];
+        adj.insert(adj.end(), prev_adj.begin() + prev_ptr[b],
+                   prev_adj.begin() + prev_ptr[e]);
+        for (std::size_t i = b; i < e; ++i)
+            row_ptr[i + 1] = prev_ptr[i + 1] + shift;
+    };
+    VertexId run_begin = 0;
+    for (const VertexId lv : touched) {
+        copy_run(run_begin, lv);
+        appendRow(g, chip, ids[static_cast<std::size_t>(lv)], adj);
+        row_ptr[static_cast<std::size_t>(lv) + 1] =
+            static_cast<EdgeId>(adj.size());
+        run_begin = lv + 1;
+    }
+    copy_run(run_begin, n);
+    return graph::Csr::fromRows(n, std::move(row_ptr), std::move(adj));
+}
+
+graph::DynamicGraph
+ChipShards::build(int chip)
+{
+    const auto ci = static_cast<std::size_t>(chip);
+    const auto t_count = static_cast<std::size_t>(dg_.numSnapshots());
+    std::vector<graph::Csr> snaps;
+    std::vector<graph::GraphDelta> deltas;
+    snaps.reserve(t_count);
+    deltas.reserve(t_count - 1);
+    snaps.push_back(filterRows(chip));
+    for (std::size_t t = 1; t < t_count; ++t) {
+        const Changes &ch = changes_[ci][t];
+        deltas.push_back(
+            graph::GraphDelta::fromChanges(ch.added, ch.removed));
+        graph::Csr next = patchRows(
+            snaps.back(), dg_.snapshot(static_cast<SnapshotId>(t)), chip,
+            deltas.back().affectedVertices());
+        snaps.push_back(std::move(next));
+    }
+    built_[ci] = true;
+    return graph::DynamicGraph(
+        dg_.name() + "#chip" + std::to_string(chip), std::move(snaps),
+        std::move(deltas), dg_.featureDim());
+}
+
+std::vector<std::uint64_t>
+ChipShards::egressAdj() const
+{
+    DITILE_ASSERT(std::all_of(built_.begin(), built_.end(),
+                              [](bool b) { return b; }),
+                  "egress counts need every chip's shard built");
+    std::vector<std::uint64_t> egress = egress_;
+    const auto chips_sz = static_cast<std::size_t>(chips_);
+    for (std::size_t i = chips_sz; i < egress.size(); ++i)
+        egress[i] += egress[i - chips_sz];
+    return egress;
+}
+
 void
 applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
               int chips, const noc::InterChipLinkConfig &link)
@@ -175,100 +357,41 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const ScaleOutSpec &spec = plan.scaleout;
     const int chips = spec.chips;
     const auto chips_sz = static_cast<std::size_t>(chips);
-    const VertexId num_vertices = dg.numVertices();
     const SnapshotId num_snapshots = dg.numSnapshots();
-    validateSpec(spec, num_vertices);
+    ChipShards shards(dg, spec);
 
-    // ---- Shard the vertex universe per the recorded assignment.
-    std::vector<std::vector<VertexId>> global_ids(chips_sz);
-    std::vector<VertexId> local_id(
-        static_cast<std::size_t>(num_vertices));
-    for (VertexId v = 0; v < num_vertices; ++v) {
-        auto &ids =
-            global_ids[static_cast<std::size_t>(chipOfVertex(spec, v))];
-        local_id[static_cast<std::size_t>(v)] =
-            static_cast<VertexId>(ids.size());
-        ids.push_back(v);
-    }
-    for (int c = 0; c < chips; ++c) {
-        if (global_ids[static_cast<std::size_t>(c)].empty())
-            DITILE_THROW("scale-out assignment leaves chip ", c,
-                         " empty");
-    }
-
-    // One edge scan per snapshot: intra-chip edges become the shard
-    // adjacency; cross-chip adjacency entries are counted per source
-    // chip (each endpoint's chip must ship that vertex's state to the
-    // other side, so an edge contributes one entry in each direction).
-    std::vector<std::vector<std::vector<graph::Edge>>> shard_edges(
-        chips_sz);
-    for (auto &per_chip : shard_edges)
-        per_chip.resize(static_cast<std::size_t>(num_snapshots));
-    std::vector<std::uint64_t> egress_adj(
-        static_cast<std::size_t>(num_snapshots) * chips_sz, 0);
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        auto *egress =
-            egress_adj.data() + static_cast<std::size_t>(t) * chips_sz;
-        for (const auto &[u, v] : dg.snapshot(t).edgeList()) {
-            const int cu = chipOfVertex(spec, u);
-            const int cv = chipOfVertex(spec, v);
-            if (cu == cv) {
-                shard_edges[static_cast<std::size_t>(cu)]
-                           [static_cast<std::size_t>(t)]
-                               .emplace_back(
-                                   local_id[static_cast<std::size_t>(u)],
-                                   local_id[static_cast<std::size_t>(
-                                       v)]);
-            } else {
-                ++egress[static_cast<std::size_t>(cu)];
-                ++egress[static_cast<std::size_t>(cv)];
-            }
-        }
-    }
-
-    // ---- Instantiate and execute the M per-chip plans serially.
-    // Shards share `cache` (or a run-local one), keyed per shard by
-    // the shard graph's structure hash, so equal shards plan once.
+    // ---- Build, plan and execute the M per-chip shards serially,
+    // dropping each before the next. Shards share `cache` (or a
+    // run-local one), keyed per shard by the shard graph's structure
+    // hash, so equal shards plan once.
     PlanCache local_cache;
     PlanCache *shard_cache = cache ? cache : &local_cache;
     const std::uint64_t track_base = Tracer::trackBase();
     std::vector<RunResult> chip_results;
     chip_results.reserve(chips_sz);
     for (int c = 0; c < chips; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        const auto shard_v =
-            static_cast<VertexId>(global_ids[ci].size());
-        std::vector<graph::Csr> snaps;
-        snaps.reserve(static_cast<std::size_t>(num_snapshots));
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            snaps.push_back(graph::Csr::fromEdges(
-                shard_v, shard_edges[ci][static_cast<std::size_t>(t)]));
-        }
-        const graph::DynamicGraph shard(
-            dg.name() + "#chip" + std::to_string(c), std::move(snaps),
-            dg.featureDim());
-
+        const graph::DynamicGraph shard = shards.build(c);
         MappingSpec shard_mapping;
         shard_mapping.spatialOnly = plan.mapping.spatialOnly;
         shard_mapping.snapshotColumn = plan.mapping.snapshotColumn;
         shard_mapping.rowPartition =
             restrictPartition(plan.mapping.rowPartition,
-                              global_ids[ci]);
+                              shards.globalIds(c));
         shard_mapping.tilePartition =
             restrictPartition(plan.mapping.tilePartition,
-                              global_ids[ci]);
+                              shards.globalIds(c));
 
-        // Disjoint trace track group per chip; restored below.
-        Tracer::setTrackBase(track_base +
-                             static_cast<std::uint64_t>(c) *
-                                 Tracer::kTracksPerRun);
+        // Disjoint trace track group per chip, restored on exit.
+        const Tracer::TrackBaseScope track_scope(
+            track_base +
+            static_cast<std::uint64_t>(c) * Tracer::kTracksPerRun);
         ExecutionPlan chip_plan = buildEnginePlan(
             shard, plan.modelConfig, plan.hw, shard_mapping,
             plan.options, plan.acceleratorName, shard_cache);
         chip_plan.faults = plan.faults;
         chip_results.push_back(executePlan(shard, chip_plan));
     }
-    Tracer::setTrackBase(track_base);
+    const std::vector<std::uint64_t> egress_adj = shards.egressAdj();
 
     // ---- Cluster timeline: annotate the cluster DAG and schedule.
     // ChipCompute durations are the chip's monotonized per-snapshot

@@ -7,7 +7,8 @@
  * count, the InterChipLink parameters, and the recorded chunk→chip
  * assignment from the DGC-style chunk partitioner
  * (workload/chunk_partition.hh). Execution shards the workload into
- * per-chip induced subgraphs, instantiates one per-chip ExecutionPlan
+ * per-chip induced subgraphs (ChipShards, built from the snapshot
+ * deltas), instantiates one per-chip ExecutionPlan
  * each (restricting the global mapping to the shard and re-deriving
  * the redundancy-free snapshot plans through the shared PlanCache,
  * keyed per shard by its structure hash), executes every chip through
@@ -19,6 +20,13 @@
  * exactly like on-chip comm overlaps compute in the PR-7 DAG; with
  * --no-overlap the comm nodes gain barrier edges and the timeline
  * degrades to compute-all / exchange-all phases (never faster).
+ *
+ * Host cost: O(V + changes) to index and bucket the deltas, then per
+ * chip O(shard V + shard adjacency + touched degree) per snapshot to
+ * build its shard, plus that chip's plan and execute. Chips run one at
+ * a time (build, plan, execute, drop): executePlan already spreads a
+ * chip's snapshots over the pool, so running chips in parallel gained
+ * nothing when measured and raised peak RSS (ROADMAP item 2(c)).
  *
  * Determinism: chips execute in serial chip order (each chip's engine
  * parallelism is already bit-identical at any width), the partitioner
@@ -32,6 +40,7 @@
 #ifndef DITILE_SIM_SCALEOUT_HH
 #define DITILE_SIM_SCALEOUT_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -62,6 +71,79 @@ struct ScaleOutSpec
     std::vector<int> chipOfChunk;
 
     bool enabled() const { return chips > 1; }
+};
+
+/**
+ * The per-chip induced subgraphs of a chips > 1 workload. Chip c's
+ * shard holds the vertices the recorded assignment places on c,
+ * renumbered to local ids in ascending global order, and every
+ * intra-chip edge.
+ *
+ * The shards come from the snapshot deltas, not from edge rescans.
+ * Construction indexes the vertex universe (O(V)) and walks every
+ * dg.delta(t) once (O(changes)): intra-chip changes become the shard
+ * deltas in local ids, and cross-chip changes step the egress counts.
+ * build(c) makes snapshot 0 by one filtered walk of the chip's global
+ * rows. Each later snapshot copies the previous shard rows and
+ * re-filters only the vertices that the chip's delta touches, so it
+ * costs O(shard V + shard adjacency + touched global degree) with no
+ * sort. The shard deltas go to DynamicGraph as they are, with no
+ * re-diff.
+ *
+ * This relies on dg.delta(t) being the exact difference of snapshots
+ * t-1 and t, as the partition-digest patch path already does.
+ */
+class ChipShards
+{
+  public:
+    /**
+     * Index dg under `spec`; dg must outlive this object. Throws
+     * InputError when the assignment does not cover dg's vertices,
+     * names a chip outside the spec, or leaves a chip empty.
+     */
+    ChipShards(const graph::DynamicGraph &dg, const ScaleOutSpec &spec);
+
+    int chips() const { return chips_; }
+
+    /** Global ids of chip c's vertices, ascending; index = local id. */
+    const std::vector<VertexId> &globalIds(int chip) const;
+
+    /** Chip c's shard graph, named "<workload>#chip<c>". */
+    graph::DynamicGraph build(int chip);
+
+    /**
+     * Cross-chip adjacency entries sourced on each chip per snapshot,
+     * row-major [T * chips]: a cross-chip edge counts once on each
+     * endpoint's chip. Valid once build() has run for every chip
+     * (snapshot 0's counts fall out of its filtered walk).
+     */
+    std::vector<std::uint64_t> egressAdj() const;
+
+  private:
+    /** One chip's intra-chip changes into one snapshot, local ids. */
+    struct Changes
+    {
+        std::vector<graph::Edge> added;
+        std::vector<graph::Edge> removed;
+    };
+
+    std::uint64_t appendRow(const graph::Csr &g, int chip, VertexId v,
+                            std::vector<VertexId> &adj) const;
+    graph::Csr filterRows(int chip);
+    graph::Csr patchRows(const graph::Csr &prev, const graph::Csr &g,
+                         int chip,
+                         const std::vector<VertexId> &touched) const;
+
+    const graph::DynamicGraph &dg_;
+    int chips_;
+    std::vector<int> chipOf_;
+    std::vector<VertexId> localId_;
+    std::vector<std::vector<VertexId>> globalIds_;
+    std::vector<std::vector<Changes>> changes_; ///< [chip][t]
+    /** Row 0: snapshot 0's counts per chip; row t >= 1: the signed
+     * step into t, stored wrapped. */
+    std::vector<std::uint64_t> egress_;
+    std::vector<bool> built_;
 };
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * Chunk census (SlotArrays kernels) and deterministic greedy chunk
+ * Chunk census (countSlotCensus) and deterministic greedy chunk
  * placement.
  */
 
@@ -63,25 +63,14 @@ buildChunkPartition(const graph::DynamicGraph &dg,
     const auto slots_sz = static_cast<std::size_t>(slots);
 
     // ---- Census: per-chunk degree mass and cross-chunk adjacency per
-    // snapshot, via the SlotArrays planes and kernels.
+    // snapshot, via the shared delta-patched slot census.
     std::vector<int> owners(static_cast<std::size_t>(num_vertices));
     for (VertexId v = 0; v < num_vertices; ++v)
         owners[static_cast<std::size_t>(v)] =
             static_cast<int>(v / cp.chunkSpan);
 
     SlotArrays census;
-    census.resize(num_snapshots, slots);
-    for (VertexId v = 0; v < num_vertices; ++v)
-        ++census.slotVertexCount[static_cast<std::size_t>(
-            owners[static_cast<std::size_t>(v)])];
-
-    std::vector<std::int32_t> edge_owner;
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const graph::Csr &g = dg.snapshot(t);
-        buildEdgeOwnerIndex(g, owners, edge_owner);
-        countSlotEdges(g, owners, edge_owner.data(), slots,
-                       census.degreeSumRowMut(t), census.crossRowMut(t));
-    }
+    countSlotCensus(dg, owners, slots, census);
 
     // Per-chunk load: edge mass over every snapshot plus one RNN unit
     // per vertex per snapshot (the per-vertex temporal work).

@@ -4,15 +4,16 @@
  * scale-out.
  *
  * The vertex universe is cut into contiguous chunks (several per
- * chip), the SlotArrays census kernels count per-chunk degree mass and
- * cross-chunk adjacency per snapshot, and a deterministic greedy
- * placement assigns chunks to chips: longest-processing-time first for
- * load balance, then a bounded refinement sweep that moves chunks only
- * when the move strictly reduces modeled cross-chip adjacency without
- * breaking the balance slack. Chunks — not single vertices — are the
- * placement granularity, exactly DGC's argument: the spatio-temporal
- * load varies per (snapshot, region), so the census integrates degree
- * mass over every snapshot before placing anything.
+ * chip), the shared slot census (countSlotCensus) counts per-chunk
+ * degree mass and cross-chunk adjacency per snapshot, and a
+ * deterministic greedy placement assigns chunks to chips:
+ * longest-processing-time first for load balance, then a bounded
+ * refinement sweep that moves chunks only when the move strictly
+ * reduces modeled cross-chip adjacency without breaking the balance
+ * slack. Chunks — not single vertices — are the placement
+ * granularity, exactly DGC's argument: the spatio-temporal load varies
+ * per (snapshot, region), so the census integrates degree mass over
+ * every snapshot before placing anything.
  *
  * Everything here is integer counting plus a fixed-order greedy, so
  * the assignment is a pure function of the graph and the options —
@@ -91,10 +92,13 @@ struct ChunkPartition
 };
 
 /**
- * Build the chunk census with the SlotArrays kernels and place chunks
- * on `options.chips` chips. Throws InputError when the graph has
- * fewer vertices than chips (a chip would be empty) or when options
- * are out of range.
+ * Build the chunk census with countSlotCensus and place chunks on
+ * `options.chips` chips. The census costs one O(V + E) walk of
+ * snapshot 0 plus O(S^2 + changes) per later snapshot whose delta it
+ * can patch (S = chunks, at most chips x chunksPerChip); placement is
+ * O(S^2 x chips) per refinement round. Throws InputError when the
+ * graph has fewer vertices than chips (a chip would be empty) or when
+ * options are out of range.
  */
 ChunkPartition buildChunkPartition(const graph::DynamicGraph &dg,
                                    const ChunkPartitionOptions &options);

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
@@ -196,67 +195,14 @@ PartitionDigest
 buildPartitionDigest(const graph::DynamicGraph &dg,
                      const std::vector<int> &owners, int slots)
 {
-    DITILE_ASSERT(slots >= 1);
-    DITILE_ASSERT(owners.size() ==
-                  static_cast<std::size_t>(dg.numVertices()));
-    const SnapshotId t_count = dg.numSnapshots();
-    const auto s_slots = static_cast<std::size_t>(slots);
-
     PartitionDigest d;
     d.slots = slots;
-    d.arrays.resize(t_count, slots);
-    for (const int owner : owners) {
-        DITILE_ASSERT(owner >= 0 && owner < slots,
-                      "vertex owner outside the slot range");
-        ++d.arrays.slotVertexCount[static_cast<std::size_t>(owner)];
-    }
-
-    // Edge→owner index of the current snapshot, rebuilt only on the
-    // scratch path (the patch path touches just the delta's edges).
-    std::vector<std::int32_t> edge_owner;
-
-    for (SnapshotId t = 0; t < t_count; ++t) {
-        const graph::Csr &g = dg.snapshot(t);
-        std::uint64_t *deg_sum = d.arrays.degreeSumRowMut(t);
-        std::uint64_t *cross = d.arrays.crossRowMut(t);
-
-        const bool patch = t > 0 &&
-            static_cast<EdgeId>(dg.delta(t).numChanges()) * 4 <=
-                g.numAdjacencies();
-        if (patch) {
-            // Contiguous planes: the carry-forward is two memcpys
-            // from snapshot t-1's rows.
-            std::memcpy(deg_sum, d.arrays.degreeSumRowMut(t - 1),
-                        s_slots * sizeof(std::uint64_t));
-            std::memcpy(cross, d.arrays.crossRowMut(t - 1),
-                        s_slots * s_slots * sizeof(std::uint64_t));
-            const graph::GraphDelta &delta = dg.delta(t);
-            auto apply = [&](const graph::Edge &e, std::uint64_t up,
-                             std::uint64_t down) {
-                const auto ou = static_cast<std::size_t>(
-                    owners[static_cast<std::size_t>(e.first)]);
-                const auto ov = static_cast<std::size_t>(
-                    owners[static_cast<std::size_t>(e.second)]);
-                deg_sum[ou] += up - down;
-                deg_sum[ov] += up - down;
-                if (ou != ov) {
-                    cross[ou * s_slots + ov] += up - down;
-                    cross[ov * s_slots + ou] += up - down;
-                }
-            };
-            for (const auto &e : delta.addedEdges())
-                apply(e, 1, 0);
-            for (const auto &e : delta.removedEdges())
-                apply(e, 0, 1);
-            ++d.incrementalSnapshots;
-        } else {
-            buildEdgeOwnerIndex(g, owners, edge_owner);
-            countSlotEdges(g, owners, edge_owner.data(), slots,
-                           deg_sum, cross);
-            ++d.scratchSnapshots;
-        }
-
-        distanceHistogram(cross, slots, d.arrays.distanceHistRowMut(t));
+    const CensusSteps steps = countSlotCensus(dg, owners, slots, d.arrays);
+    d.incrementalSnapshots = steps.incremental;
+    d.scratchSnapshots = steps.scratch;
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        distanceHistogram(d.arrays.crossRow(t).data(), slots,
+                          d.arrays.distanceHistRowMut(t));
     }
     return d;
 }

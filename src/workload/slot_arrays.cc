@@ -80,6 +80,71 @@ countSlotEdges(const graph::Csr &g, const std::vector<int> &owners,
         cross[d * s_slots + d] = 0;
 }
 
+CensusSteps
+countSlotCensus(const graph::DynamicGraph &dg,
+                const std::vector<int> &owners, int slots,
+                SlotArrays &arrays)
+{
+    DITILE_ASSERT(slots >= 1);
+    DITILE_ASSERT(owners.size() ==
+                  static_cast<std::size_t>(dg.numVertices()));
+    const SnapshotId t_count = dg.numSnapshots();
+    const auto s_slots = static_cast<std::size_t>(slots);
+    arrays.resize(t_count, slots);
+    for (const int owner : owners) {
+        DITILE_ASSERT(owner >= 0 && owner < slots,
+                      "vertex owner outside the slot range");
+        ++arrays.slotVertexCount[static_cast<std::size_t>(owner)];
+    }
+
+    // Edge→owner index of the current snapshot, rebuilt only on the
+    // scratch path (the patch path touches just the delta's edges).
+    std::vector<std::int32_t> edge_owner;
+    CensusSteps steps;
+    for (SnapshotId t = 0; t < t_count; ++t) {
+        const graph::Csr &g = dg.snapshot(t);
+        std::uint64_t *deg_sum = arrays.degreeSumRowMut(t);
+        std::uint64_t *cross = arrays.crossRowMut(t);
+
+        const bool patch = t > 0 &&
+            static_cast<EdgeId>(dg.delta(t).numChanges()) * 4 <=
+                g.numAdjacencies();
+        if (!patch) {
+            buildEdgeOwnerIndex(g, owners, edge_owner);
+            countSlotEdges(g, owners, edge_owner.data(), slots, deg_sum,
+                           cross);
+            ++steps.scratch;
+            continue;
+        }
+        // Contiguous planes: the carry-forward is two memcpys from
+        // snapshot t-1's rows.
+        std::memcpy(deg_sum, arrays.degreeSumRowMut(t - 1),
+                    s_slots * sizeof(std::uint64_t));
+        std::memcpy(cross, arrays.crossRowMut(t - 1),
+                    s_slots * s_slots * sizeof(std::uint64_t));
+        const auto apply = [&](const graph::Edge &e, std::uint64_t up,
+                               std::uint64_t down) {
+            const auto ou = static_cast<std::size_t>(
+                owners[static_cast<std::size_t>(e.first)]);
+            const auto ov = static_cast<std::size_t>(
+                owners[static_cast<std::size_t>(e.second)]);
+            deg_sum[ou] += up - down;
+            deg_sum[ov] += up - down;
+            if (ou != ov) {
+                cross[ou * s_slots + ov] += up - down;
+                cross[ov * s_slots + ou] += up - down;
+            }
+        };
+        const graph::GraphDelta &delta = dg.delta(t);
+        for (const auto &e : delta.addedEdges())
+            apply(e, 1, 0);
+        for (const auto &e : delta.removedEdges())
+            apply(e, 0, 1);
+        ++steps.incremental;
+    }
+    return steps;
+}
+
 void
 distanceHistogram(const std::uint64_t *cross, int slots,
                   std::uint64_t *hist)

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "graph/csr.hh"
+#include "graph/dynamic_graph.hh"
 
 namespace ditile::workload {
 
@@ -122,6 +123,29 @@ void buildEdgeOwnerIndex(const graph::Csr &g,
 void countSlotEdges(const graph::Csr &g, const std::vector<int> &owners,
                     const std::int32_t *edge_owner, int slots,
                     std::uint64_t *deg_sum, std::uint64_t *cross);
+
+/** How many snapshots a census patched from the delta vs. counted
+ * from scratch. */
+struct CensusSteps
+{
+    std::uint64_t incremental = 0;
+    std::uint64_t scratch = 0;
+};
+
+/**
+ * Slot census of every snapshot of dg: resizes `arrays` to T x S and
+ * fills slotVertexCount, degreeSum and cross (distanceHist stays
+ * zero). Snapshot 0, and any snapshot whose delta is large
+ * (changes * 4 > adjacencies), runs the countSlotEdges scratch walk;
+ * every other snapshot copies row t-1 forward (two memcpys) and
+ * applies +/-1 per changed edge of dg.delta(t). The counters are
+ * integers and an exact delta changes each by exactly its edges, so
+ * both paths give the same rows. O(V + E) per scratch snapshot,
+ * O(S^2 + changes) per patched one.
+ */
+CensusSteps countSlotCensus(const graph::DynamicGraph &dg,
+                            const std::vector<int> &owners, int slots,
+                            SlotArrays &arrays);
 
 /**
  * Ring-minimal vertical-distance histogram over the nonzero

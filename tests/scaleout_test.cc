@@ -4,12 +4,14 @@
  * plan JSON and execution, cross-thread bit-identity of M-chip
  * cluster schedules, chunk-partitioner balance invariants, format-3
  * plan round trips (with format-2 back-compat), InterChipLink cycle
- * math, and the cluster overlap-vs-staged makespan bound.
+ * math, the cluster overlap-vs-staged makespan bound, delta-built
+ * shards against the edge-list reference, and pinned cluster results.
  */
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -281,6 +283,268 @@ TEST(ScaleOut, SharedPlanCacheHitsAcrossRepeatRuns)
     const auto second = sim::executePlan(dg, plan, &cache);
     expectSameResult(first, second);
     EXPECT_GT(cache.hits(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Shards from deltas vs the edge-list reference: the reference below
+// is the shard construction runScaleOut used before ChipShards — one
+// edgeList() scan per snapshot bucketed per chip, Csr::fromEdges, and
+// the diffing DynamicGraph constructor.
+// ---------------------------------------------------------------------
+
+struct ReferenceShards
+{
+    std::vector<graph::DynamicGraph> shards;
+    std::vector<std::uint64_t> egressAdj; ///< [T * chips]
+};
+
+ReferenceShards
+referenceShards(const graph::DynamicGraph &dg,
+                const sim::ScaleOutSpec &spec)
+{
+    const auto chips = static_cast<std::size_t>(spec.chips);
+    const auto T = static_cast<std::size_t>(dg.numSnapshots());
+    const auto chip_of = [&](VertexId v) {
+        return static_cast<std::size_t>(
+            spec.chipOfChunk[static_cast<std::size_t>(
+                v / spec.chunkSpan)]);
+    };
+    std::vector<std::vector<VertexId>> global_ids(chips);
+    std::vector<VertexId> local_id(
+        static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v) {
+        auto &ids = global_ids[chip_of(v)];
+        local_id[static_cast<std::size_t>(v)] =
+            static_cast<VertexId>(ids.size());
+        ids.push_back(v);
+    }
+    std::vector<std::vector<std::vector<graph::Edge>>> edges(
+        chips, std::vector<std::vector<graph::Edge>>(T));
+    ReferenceShards ref;
+    ref.egressAdj.assign(T * chips, 0);
+    for (std::size_t t = 0; t < T; ++t) {
+        for (const auto &[u, v] :
+             dg.snapshot(static_cast<SnapshotId>(t)).edgeList()) {
+            const auto cu = chip_of(u);
+            const auto cv = chip_of(v);
+            if (cu == cv) {
+                edges[cu][t].emplace_back(
+                    local_id[static_cast<std::size_t>(u)],
+                    local_id[static_cast<std::size_t>(v)]);
+            } else {
+                ++ref.egressAdj[t * chips + cu];
+                ++ref.egressAdj[t * chips + cv];
+            }
+        }
+    }
+    for (std::size_t c = 0; c < chips; ++c) {
+        std::vector<graph::Csr> snaps;
+        for (std::size_t t = 0; t < T; ++t) {
+            snaps.push_back(graph::Csr::fromEdges(
+                static_cast<VertexId>(global_ids[c].size()),
+                edges[c][t]));
+        }
+        ref.shards.emplace_back(
+            dg.name() + "#chip" + std::to_string(c), std::move(snaps),
+            dg.featureDim());
+    }
+    return ref;
+}
+
+void
+expectSameShards(const graph::DynamicGraph &dg,
+                 const sim::ScaleOutSpec &spec)
+{
+    const ReferenceShards ref = referenceShards(dg, spec);
+    sim::ChipShards shards(dg, spec);
+    ASSERT_EQ(shards.chips(), spec.chips);
+    for (int c = 0; c < spec.chips; ++c) {
+        SCOPED_TRACE(testing::Message() << "chip " << c);
+        const graph::DynamicGraph shard = shards.build(c);
+        const graph::DynamicGraph &want =
+            ref.shards[static_cast<std::size_t>(c)];
+        EXPECT_EQ(shard.name(), want.name());
+        ASSERT_EQ(shard.numSnapshots(), want.numSnapshots());
+        EXPECT_EQ(shard.numVertices(), want.numVertices());
+        EXPECT_EQ(static_cast<VertexId>(shards.globalIds(c).size()),
+                  want.numVertices());
+        for (SnapshotId t = 0; t < shard.numSnapshots(); ++t) {
+            SCOPED_TRACE(testing::Message() << "snapshot " << t);
+            EXPECT_EQ(shard.snapshot(t).rowPtr(),
+                      want.snapshot(t).rowPtr());
+            EXPECT_EQ(shard.snapshot(t).adjacency(),
+                      want.snapshot(t).adjacency());
+            if (t == 0)
+                continue;
+            EXPECT_EQ(shard.delta(t).addedEdges(),
+                      want.delta(t).addedEdges());
+            EXPECT_EQ(shard.delta(t).removedEdges(),
+                      want.delta(t).removedEdges());
+            EXPECT_EQ(shard.delta(t).affectedVertices(),
+                      want.delta(t).affectedVertices());
+        }
+        EXPECT_EQ(shard.structureHashValue(), want.structureHashValue());
+    }
+    EXPECT_EQ(shards.egressAdj(), ref.egressAdj);
+}
+
+/** Spec with chunk span 1 and a seeded chip per vertex, so every chip's
+ * local ids interleave with the other chips' global ids. */
+sim::ScaleOutSpec
+scatteredSpec(VertexId vertices, int chips, std::uint64_t seed)
+{
+    sim::ScaleOutSpec spec;
+    spec.chips = chips;
+    spec.chunkSpan = 1;
+    std::uint64_t x = seed;
+    for (VertexId v = 0; v < vertices; ++v) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        spec.chipOfChunk.push_back(v < chips ? static_cast<int>(v)
+                                   : static_cast<int>((x >> 33) %
+                                        static_cast<std::uint64_t>(
+                                            chips)));
+    }
+    return spec;
+}
+
+/** Seeded random undirected edge list over `vertices` vertices. */
+std::vector<graph::Edge>
+randomEdges(VertexId vertices, std::size_t count, std::uint64_t seed)
+{
+    std::vector<graph::Edge> edges;
+    std::uint64_t x = seed;
+    const auto next = [&] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<VertexId>(
+            (x >> 33) % static_cast<std::uint64_t>(vertices));
+    };
+    for (std::size_t i = 0; i < count; ++i) {
+        const VertexId u = next();
+        edges.emplace_back(u, next());
+    }
+    return edges;
+}
+
+TEST(ScaleOut, ShardsMatchEdgeListReference)
+{
+    // Generator workload under the partitioner's own assignment and
+    // under a scattered one.
+    const auto dg = scaleoutWorkload();
+    for (const int chips : {2, 3, 8}) {
+        SCOPED_TRACE(testing::Message() << "chips=" << chips);
+        expectSameShards(dg, planFor(dg, chips).scaleout);
+        expectSameShards(dg,
+                         scatteredSpec(dg.numVertices(), chips, 17));
+    }
+
+    // Snapshot 2 repeats snapshot 1 (empty delta); snapshot 3 is a
+    // fresh draw (near-total churn).
+    const VertexId n = 300;
+    const auto s0 = randomEdges(n, 1500, 1);
+    auto s1 = s0;
+    s1.resize(1400);
+    const auto extra = randomEdges(n, 60, 2);
+    s1.insert(s1.end(), extra.begin(), extra.end());
+    std::vector<graph::Csr> snaps;
+    snaps.push_back(graph::Csr::fromEdges(n, s0));
+    snaps.push_back(graph::Csr::fromEdges(n, s1));
+    snaps.push_back(graph::Csr::fromEdges(n, s1));
+    snaps.push_back(graph::Csr::fromEdges(n, randomEdges(n, 1500, 3)));
+    const graph::DynamicGraph churn("churn", std::move(snaps), 16);
+    ASSERT_EQ(churn.delta(2).numChanges(), 0u);
+    for (const int chips : {2, 3, 8}) {
+        SCOPED_TRACE(testing::Message() << "churn chips=" << chips);
+        expectSameShards(churn, scatteredSpec(n, chips, 5));
+    }
+
+    // T = 1: no deltas at all.
+    const graph::DynamicGraph single(
+        "single", {graph::Csr::fromEdges(n, s0)}, 16);
+    expectSameShards(single, scatteredSpec(n, 3, 9));
+
+    // Chip 0 holds a single vertex and chip 2 the even vertices of a
+    // path, so neither shard has an intra-chip edge; chip 1 (the odd
+    // vertices) gains and loses some.
+    sim::ScaleOutSpec sparse;
+    sparse.chips = 3;
+    sparse.chunkSpan = 1;
+    for (VertexId v = 0; v < n; ++v)
+        sparse.chipOfChunk.push_back(v == 0 ? 0 : v % 2 == 1 ? 1 : 2);
+    std::vector<graph::Edge> path_edges;
+    for (VertexId v = 1; v + 1 < n; ++v)
+        path_edges.emplace_back(v, v + 1);
+    for (VertexId v = 1; v + 2 < 40; v += 2)
+        path_edges.emplace_back(v, v + 2);
+    std::vector<graph::Csr> psnaps;
+    psnaps.push_back(graph::Csr::fromEdges(n, path_edges));
+    path_edges.resize(path_edges.size() - 10);
+    path_edges.emplace_back(0, 7);
+    path_edges.emplace_back(51, 77);
+    psnaps.push_back(graph::Csr::fromEdges(n, path_edges));
+    const graph::DynamicGraph path("path", std::move(psnaps), 16);
+    expectSameShards(path, sparse);
+}
+
+// ---------------------------------------------------------------------
+// Cluster golden: totalCycles, inter-chip payload and wire bytes, and
+// a hash of every trace row's rnnDone, pinned for chips 2/4/8 x
+// overlap/staged x fault-free/faulted. A change to shard construction,
+// the chip plans or the cluster timeline moves a row.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over every trace row's rnnDone (chip-major). */
+std::uint64_t
+rnnDoneHash(const sim::RunResult &r)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const auto &row : r.trace)
+        h = (h ^ row.rnnDone) * 1099511628211ull;
+    return h;
+}
+
+TEST(ScaleOutGolden, ClusterResultsArePinned)
+{
+    // chips faulted overlap totalCycles payloadBytes wireBytes rnnHash
+    static const char *const kGolden = R"(
+2 0 0 839512 23002112 24439744 9027354540011337851
+2 0 1 832080 23002112 24439744 9027354540011337851
+2 1 0 841912 23002112 24439744 3889502756459924219
+2 1 1 834960 23002112 24439744 3889502756459924219
+4 0 0 626001 34516992 36674304 11468013679287235359
+4 0 1 606262 34516992 36674304 11468013679287235359
+4 1 0 626547 34516992 36674304 9134135242287048668
+4 1 1 606902 34516992 36674304 9134135242287048668
+8 0 0 403615 39877632 42369984 17823763521414354373
+8 0 1 379607 39877632 42369984 17823763521414354373
+8 1 0 403694 39877632 42369984 15184476648286652330
+8 1 1 379902 39877632 42369984 15184476648286652330
+)";
+    const auto dg = scaleoutWorkload();
+    std::ostringstream actual;
+    actual << '\n';
+    for (const int chips : {2, 4, 8}) {
+        for (const bool faulted : {false, true}) {
+            auto plan = planFor(dg, chips);
+            if (faulted) {
+                plan.faults = sim::FaultSpec::parse(
+                    "tile@1:r3c*;vlink@0:r1c2;bypass-open@1:c5;"
+                    "dram@2:ch*");
+            }
+            for (const bool overlap : {false, true}) {
+                plan.options.overlap = overlap;
+                const auto r = sim::executePlan(dg, plan);
+                actual << chips << ' ' << faulted << ' ' << overlap
+                       << ' ' << r.totalCycles << ' '
+                       << static_cast<std::uint64_t>(
+                              r.stats.get("interchip.payload_bytes"))
+                       << ' '
+                       << static_cast<std::uint64_t>(
+                              r.stats.get("interchip.wire_bytes"))
+                       << ' ' << rnnDoneHash(r) << '\n';
+            }
+        }
+    }
+    EXPECT_EQ(actual.str(), kGolden);
 }
 
 } // namespace

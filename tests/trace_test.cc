@@ -160,6 +160,38 @@ TEST(Tracer, StepCursorAdvancesPerTrack)
     EXPECT_EQ(rows[0].firstTs, 2u);
 }
 
+TEST(Tracer, TrackBaseScopeRestoresThePreviousBase)
+{
+    // A pool thread waiting in a nested parallelFor may run another
+    // task's body; each scope must hand its thread's base back, so
+    // every outer task still sees its own base afterwards.
+    ThreadPool::setGlobalThreads(4);
+    std::vector<std::uint64_t> after(8, 0);
+    parallelFor(after.size(), [&](std::size_t i) {
+        const Tracer::TrackBaseScope outer(1000 + i);
+        parallelFor(16, [&](std::size_t k) {
+            const Tracer::TrackBaseScope inner(5000 + 16 * i + k);
+        });
+        after[i] = Tracer::trackBase();
+    });
+    ThreadPool::setGlobalThreads(1);
+    for (std::size_t i = 0; i < after.size(); ++i)
+        EXPECT_EQ(after[i], 1000 + i) << "outer task " << i;
+    EXPECT_EQ(Tracer::trackBase(), 0u);
+
+    // An exception leaving the scope restores the base too.
+    Tracer::setTrackBase(7);
+    EXPECT_THROW(
+        {
+            const Tracer::TrackBaseScope scope(99);
+            EXPECT_EQ(Tracer::trackBase(), 99u);
+            throw InputError("boom");
+        },
+        InputError);
+    EXPECT_EQ(Tracer::trackBase(), 7u);
+    Tracer::setTrackBase(0);
+}
+
 TEST(ChromeTrace, SchemaIsValidAndCoversAllStages)
 {
     TracerGuard guard;
@@ -180,10 +212,12 @@ TEST(ChromeTrace, SchemaIsValidAndCoversAllStages)
         EXPECT_NE(e.find("ts"), nullptr);
         EXPECT_NE(e.find("name"), nullptr);
         cats.insert(e.at("cat").asString());
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_NE(e.find("dur"), nullptr);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").asString(), "t");
+        }
     }
     // Every instrumented stage shows up even on a tiny run.
     for (const char *cat : {"plan", "engine", "noc", "dram", "cache"})

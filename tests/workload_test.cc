@@ -11,6 +11,7 @@
 
 #include "graph/generator.hh"
 #include "workload/balance.hh"
+#include "workload/slot_arrays.hh"
 
 namespace ditile::workload {
 namespace {
@@ -188,6 +189,86 @@ TEST(BalancedPartition, AllPartsNonEmptyWhenEnoughVertices)
     const auto p = balancedPartition(loads, 16);
     for (auto size : p.partSizes())
         EXPECT_EQ(size, 4);
+}
+
+// The shared slot census (used by the partition digest and the chunk
+// partitioner) patches most snapshots from the delta; every row must
+// equal the scratch kernel's full walk of that snapshot.
+void
+expectCensusMatchesFullWalk(const graph::DynamicGraph &dg,
+                            const std::vector<int> &owners, int slots)
+{
+    SlotArrays census;
+    const CensusSteps steps = countSlotCensus(dg, owners, slots, census);
+    EXPECT_EQ(steps.incremental + steps.scratch,
+              static_cast<std::uint64_t>(dg.numSnapshots()));
+    std::vector<std::uint64_t> vertex_count(
+        static_cast<std::size_t>(slots), 0);
+    for (const int owner : owners)
+        ++vertex_count[static_cast<std::size_t>(owner)];
+    EXPECT_EQ(census.slotVertexCount, vertex_count);
+
+    std::vector<std::int32_t> edge_owner;
+    std::vector<std::uint64_t> deg(static_cast<std::size_t>(slots));
+    std::vector<std::uint64_t> cross(deg.size() * deg.size());
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        SCOPED_TRACE(testing::Message() << "snapshot " << t);
+        buildEdgeOwnerIndex(dg.snapshot(t), owners, edge_owner);
+        countSlotEdges(dg.snapshot(t), owners, edge_owner.data(), slots,
+                       deg.data(), cross.data());
+        const auto deg_row = census.degreeSumRow(t);
+        const auto cross_row = census.crossRow(t);
+        EXPECT_EQ(std::vector<std::uint64_t>(deg_row.begin(),
+                                             deg_row.end()),
+                  deg);
+        EXPECT_EQ(std::vector<std::uint64_t>(cross_row.begin(),
+                                             cross_row.end()),
+                  cross);
+    }
+}
+
+TEST(ChunkPartition, DeltaCensusMatchesFullWalk)
+{
+    graph::EvolutionConfig config;
+    config.numVertices = 900;
+    config.numEdges = 7200;
+    config.numSnapshots = 8;
+    config.dissimilarity = 0.08;
+    config.seed = 5;
+    const auto dg = graph::generateDynamicGraph(config);
+    const auto n = static_cast<std::size_t>(dg.numVertices());
+    for (const int slots : {1, 7, 24}) {
+        SCOPED_TRACE(testing::Message() << "slots=" << slots);
+        std::vector<int> chunked(n);
+        std::vector<int> scattered(n);
+        for (std::size_t v = 0; v < n; ++v) {
+            chunked[v] = static_cast<int>(
+                v * static_cast<std::size_t>(slots) / n);
+            scattered[v] = static_cast<int>(
+                (v * 2654435761u) % static_cast<std::size_t>(slots));
+        }
+        expectCensusMatchesFullWalk(dg, chunked, slots);
+        expectCensusMatchesFullWalk(dg, scattered, slots);
+        SlotArrays census;
+        EXPECT_EQ(countSlotCensus(dg, chunked, slots, census).scratch,
+                  1u)
+            << "small deltas should patch every snapshot after 0";
+    }
+
+    // A full re-draw is too large a delta to patch: the census falls
+    // back to the scratch walk for that snapshot.
+    std::vector<graph::Csr> snaps{dg.snapshot(0), dg.snapshot(1),
+                                  graph::Csr::fromEdges(
+                                      dg.numVertices(), {{0, 1}})};
+    const graph::DynamicGraph churn("churn", std::move(snaps), 8);
+    std::vector<int> owners(n);
+    for (std::size_t v = 0; v < n; ++v)
+        owners[v] = static_cast<int>(v % 5);
+    expectCensusMatchesFullWalk(churn, owners, 5);
+    SlotArrays census;
+    const CensusSteps steps = countSlotCensus(churn, owners, 5, census);
+    EXPECT_EQ(steps.incremental, 1u);
+    EXPECT_EQ(steps.scratch, 2u);
 }
 
 } // namespace

@@ -383,7 +383,8 @@ runTool(const CliFlags &flags)
         std::uint64_t run_idx = 0;
         for (auto &acc : accelerators) {
             // Disjoint track group per accelerator run.
-            Tracer::setTrackBase(run_idx++ * Tracer::kTracksPerRun);
+            const Tracer::TrackBaseScope track_scope(
+                run_idx++ * Tracer::kTracksPerRun);
             auto plan = acc->plan(dg, mconfig);
             if (have_faults)
                 plan.faults = fault_spec;

@@ -247,7 +247,7 @@ runTool(const CliFlags &flags)
             core::SharedFrontEnd shared;
             std::uint64_t accel_idx = 0;
             for (auto &accel : fleet) {
-                Tracer::setTrackBase(
+                const Tracer::TrackBaseScope track_scope(
                     (static_cast<std::uint64_t>(rep) * fleet.size() +
                      accel_idx++) * Tracer::kTracksPerRun);
                 sim::ExecutionPlan plan;
@@ -301,7 +301,7 @@ runTool(const CliFlags &flags)
             for (std::size_t a = 0; a < fleet_n; ++a) {
                 // Disjoint track group per (grid point, accelerator)
                 // so concurrent jobs never share a trace track.
-                Tracer::setTrackBase(
+                const Tracer::TrackBaseScope track_scope(
                     (static_cast<std::uint64_t>(j) * fleet_n + a) *
                     Tracer::kTracksPerRun);
                 const auto r = sim::executePlan(dg, state->plans[a],
