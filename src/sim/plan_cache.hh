@@ -12,8 +12,11 @@
  * constructed but identical workloads (e.g. sweep grid points that
  * regenerate the same dataset).
  *
- * Thread-safe: lookups lock, misses plan outside the lock (the first
- * finished writer wins; losers reuse the published set).
+ * The memo itself is one common/content_cache.hh ContentCache, the
+ * same rule set the workload digests and the communication-model
+ * memo use: lookups lock, misses plan outside the lock (the first
+ * finished writer wins; losers reuse the published set), and an
+ * optional capacity is enforced only at the caller's serial points.
  */
 
 #ifndef DITILE_SIM_PLAN_CACHE_HH
@@ -21,10 +24,9 @@
 
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/content_cache.hh"
 #include "graph/dynamic_graph.hh"
 #include "model/incremental.hh"
 
@@ -55,55 +57,36 @@ class PlanCache
            const model::DgnnConfig &config, model::AlgoKind algo);
 
     /**
-     * Whether a plan set for `key` is published. A hit predicts that
-     * obtain() with the same inputs will be served from cache; only
-     * meaningful from serial points (the serving tier's admission
-     * step), since concurrent writers may publish in between.
+     * Whether a plan set for `key` is published: a hit prediction for
+     * the serving tier's serial admission step.
      */
-    bool contains(std::uint64_t key) const;
+    bool contains(std::uint64_t key) const { return cache_.contains(key); }
 
     /**
      * Bound the number of published plan sets; 0 (the default) means
-     * unbounded. The bound is enforced only by evictToCapacity() —
-     * obtain() never evicts, so a plan set pinned by an in-flight
-     * batch is never yanked mid-execution.
+     * unbounded. obtain() never evicts, so a plan set pinned by an
+     * in-flight batch is never yanked mid-execution; evictToCapacity()
+     * drops the least-recently-touched sets at a serial point and
+     * returns their keys so callers can invalidate hit predictions.
      */
-    void setCapacity(std::size_t capacity);
-    std::size_t capacity() const;
+    void setCapacity(std::size_t capacity) { cache_.setCapacity(capacity); }
+    std::size_t capacity() const { return cache_.capacity(); }
+    void touch(std::uint64_t key) { cache_.touch(key); }
+    std::vector<std::uint64_t>
+    evictToCapacity()
+    {
+        return cache_.evictToCapacity();
+    }
 
-    /**
-     * Mark `key` as most recently used. Recency advances *only* here —
-     * never inside obtain() — so eviction order is a pure function of
-     * the serial touch sequence (the serving admission step), not of
-     * which pool worker finished planning first.
-     */
-    void touch(std::uint64_t key);
-
-    /**
-     * Evict least-recently-touched entries until size() <= capacity
-     * (no-op when unbounded). Ties — entries never touched — break on
-     * ascending key, so eviction is deterministic regardless of hash-
-     * map iteration order. Call from serial points only; returns the
-     * evicted keys so callers can invalidate hit predictions.
-     */
-    std::vector<std::uint64_t> evictToCapacity();
-
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
-    std::size_t size() const;
-    void clear();
+    std::uint64_t hits() const { return cache_.hits(); }
+    std::uint64_t misses() const { return cache_.misses(); }
+    std::uint64_t evictions() const { return cache_.evictions(); }
+    std::size_t size() const { return cache_.size(); }
+    void clear() { cache_.clear(); }
 
   private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const SnapshotPlans>> entries_;
-    std::unordered_map<std::uint64_t, std::uint64_t> recency_;
-    std::uint64_t touchSeq_ = 0;
-    std::size_t capacity_ = 0; ///< 0 = unbounded.
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
+    ContentCache<std::uint64_t, std::shared_ptr<const SnapshotPlans>>
+        cache_{"plan-cache", "cache.plan"};
 };
 
 /**

@@ -25,11 +25,11 @@
 #ifndef DITILE_TILING_COMM_MODEL_HH
 #define DITILE_TILING_COMM_MODEL_HH
 
+#include <compare>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/content_cache.hh"
 #include "common/types.hh"
 #include "graph/dynamic_graph.hh"
 
@@ -157,9 +157,10 @@ std::uint64_t appFeatureKey(const ApplicationFeatures &app);
  * (appFeatureKey, a, Gs, Gv). Algorithm 1's parallelism sweep walks
  * the full Gs x Gv grid per accelerator, and every accelerator
  * family planning the same dynamic graph walks the *same* grid — the
- * memo collapses those repeat passes to hash lookups. Internally
- * synchronized: concurrent sweep points may race to insert the same
- * key, in which case both compute the identical value and one wins.
+ * memo collapses those repeat passes to hash lookups. One unnamed
+ * common/content_cache.hh ContentCache (no trace instants, no
+ * metrics): concurrent sweep points may race to insert the same key,
+ * in which case both compute the identical value and one wins.
  */
 class CommModelCache
 {
@@ -176,15 +177,16 @@ class CommModelCache
                       std::uint64_t app_key, int tiling_factor,
                       int snapshot_groups, int vertex_parts);
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::size_t size() const;
-    void clear();
+    std::uint64_t hits() const { return points_.hits(); }
+    std::uint64_t misses() const { return points_.misses(); }
+    std::size_t size() const { return points_.size(); }
+    void clear() { points_.clear(); }
 
     /** Process-wide instance shared by planners and tools. */
     static CommModelCache &global();
 
   private:
+    /** Full-field equality: the 64-bit hash is only the bucket. */
     struct PointKey
     {
         std::uint64_t app = 0;
@@ -192,21 +194,14 @@ class CommModelCache
         int gs = 0;
         int gv = 0;
 
-        bool
-        operator==(const PointKey &o) const
-        {
-            return app == o.app && a == o.a && gs == o.gs && gv == o.gv;
-        }
+        auto operator<=>(const PointKey &) const = default;
     };
     struct PointKeyHash
     {
         std::size_t operator()(const PointKey &k) const;
     };
 
-    mutable std::mutex mutex_;
-    std::unordered_map<PointKey, CommBreakdown, PointKeyHash> points_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    ContentCache<PointKey, CommBreakdown, PointKeyHash> points_;
 };
 
 } // namespace ditile::tiling

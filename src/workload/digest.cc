@@ -29,12 +29,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
-#include "common/trace.hh"
 #include "workload/slot_arrays.hh"
 
 namespace ditile::workload {
@@ -230,55 +228,13 @@ partitionDigestKey(const graph::DynamicGraph &dg,
     return hasher.h;
 }
 
-namespace {
-
-/** Emit a digest-cache hit/miss instant on the caller's cache track. */
-void
-digestInstant(const char *name, std::uint64_t key)
-{
-    ditile::Tracer &tracer = ditile::Tracer::global();
-    if (!tracer.traceEnabled())
-        return;
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key));
-    ditile::TraceEvent ev;
-    ev.addArg("key", std::string(hex));
-    tracer.instant("cache", name,
-                   ditile::Tracer::trackBase() +
-                       ditile::Tracer::kCacheTrack,
-                   std::move(ev));
-}
-
-} // namespace
-
 std::shared_ptr<const LoadDigest>
 DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
 {
-    const std::uint64_t key = loadDigestKey(dg, gcn_layers);
-    std::shared_ptr<const LoadDigest> cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = loads_.find(key);
-        if (it != loads_.end()) {
-            ++hits_;
-            cached = it->second;
-        }
-    }
-    if (cached) {
-        digestInstant("digest-loads hit", key);
-        Tracer::global().addMetric("cache.digest_loads.hits", 1);
-        return cached;
-    }
-    digestInstant("digest-loads miss", key);
-    Tracer::global().addMetric("cache.digest_loads.misses", 1);
-    // Build outside the lock; the first finished writer wins.
-    auto digest = std::make_shared<const LoadDigest>(
-        buildLoadDigest(dg, gcn_layers));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    const auto [it, inserted] = loads_.emplace(key, std::move(digest));
-    return it->second;
+    return loads_.obtain(loadDigestKey(dg, gcn_layers), [&] {
+        return std::make_shared<const LoadDigest>(
+            buildLoadDigest(dg, gcn_layers));
+    });
 }
 
 std::shared_ptr<const PartitionDigest>
@@ -286,60 +242,10 @@ DigestCache::partition(const graph::DynamicGraph &dg,
                        const std::vector<int> &owners, int slots)
 {
     const std::uint64_t key = partitionDigestKey(dg, owners, slots);
-    std::shared_ptr<const PartitionDigest> cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = partitions_.find(key);
-        if (it != partitions_.end()) {
-            ++hits_;
-            cached = it->second;
-        }
-    }
-    if (cached) {
-        digestInstant("digest-partition hit", key);
-        Tracer::global().addMetric("cache.digest_partition.hits", 1);
-        return cached;
-    }
-    digestInstant("digest-partition miss", key);
-    Tracer::global().addMetric("cache.digest_partition.misses", 1);
-    auto digest = std::make_shared<const PartitionDigest>(
-        buildPartitionDigest(dg, owners, slots));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    const auto [it, inserted] =
-        partitions_.emplace(key, std::move(digest));
-    return it->second;
-}
-
-std::uint64_t
-DigestCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-DigestCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-DigestCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return loads_.size() + partitions_.size();
-}
-
-void
-DigestCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    loads_.clear();
-    partitions_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    return partitions_.obtain(key, [&] {
+        return std::make_shared<const PartitionDigest>(
+            buildPartitionDigest(dg, owners, slots));
+    });
 }
 
 DigestCache &

@@ -6,15 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/cli.hh"
+#include "common/content_cache.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/thread_pool.hh"
 
 namespace ditile {
 namespace {
@@ -438,6 +445,41 @@ TEST(WarnOnce, ResetHookClearsTableAndSaturation)
     EXPECT_EQ(detail::warnOnceTableSize(), 0u);
     EXPECT_TRUE(warnOnce("reset probe"));
     detail::warnOnceResetForTest();
+}
+
+
+TEST(ContentCacheTest, RacingMissesPublishOneValue)
+{
+    ContentCache<std::uint64_t, std::shared_ptr<const int>> cache;
+    ThreadPool pool(4);
+    constexpr std::size_t kLookups = 16;
+    constexpr std::uint64_t kKey = 7;
+    std::atomic<int> builds{0};
+    std::vector<std::shared_ptr<const int>> got(kLookups);
+    parallelFor(kLookups, [&](std::size_t i) {
+        got[i] = cache.obtain(kKey, [&] {
+            // Hold every builder until four overlap (or a deadline
+            // passes), so the misses really race to publish.
+            const int id = ++builds;
+            const auto deadline = std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(200);
+            while (builds.load() < 4 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            return std::make_shared<const int>(id);
+        });
+    }, &pool);
+
+    const auto published = cache.obtain(kKey, [] {
+        ADD_FAILURE() << "a published key must not rebuild";
+        return std::make_shared<const int>(-1);
+    });
+    ASSERT_TRUE(published);
+    EXPECT_EQ(cache.size(), 1u);
+    for (const auto &value : got)
+        EXPECT_EQ(value, published);
+    EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(builds.load()));
+    EXPECT_EQ(cache.hits() + cache.misses(), kLookups + 1);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generator.hh"
 #include "tiling/optimizer.hh"
@@ -361,6 +362,38 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, OptimizerSweep,
     ::testing::Combine(::testing::Values(2, 8, 32),
                        ::testing::Values(0.02, 0.10, 0.30)));
+
+
+TEST(CommModelCacheTest, RepeatedAlgorithmOnePassIsAllHits)
+{
+    auto &memo = CommModelCache::global();
+    memo.clear();
+    const ApplicationFeatures app = uniformApp(5000, 40000, 8);
+    const HardwareFeatures hw;
+
+    const ParallelPlan first = optimizeAll(app, hw);
+    const std::uint64_t first_hits = memo.hits();
+    const std::uint64_t first_misses = memo.misses();
+    EXPECT_GT(first_misses, 0u);
+    EXPECT_EQ(memo.size(), first_misses);
+
+    // Same features, same grid: every Eq. 8-16 point is a hit.
+    const ParallelPlan second = optimizeAll(app, hw);
+    EXPECT_EQ(memo.misses(), first_misses);
+    EXPECT_EQ(memo.hits() - first_hits, first_hits + first_misses);
+    EXPECT_EQ(memo.size(), first_misses);
+    EXPECT_EQ(second.parallelism.snapshotGroups,
+              first.parallelism.snapshotGroups);
+    EXPECT_EQ(second.parallelism.vertexParts,
+              first.parallelism.vertexParts);
+    EXPECT_EQ(second.parallelism.totalCommUnits,
+              first.parallelism.totalCommUnits);
+
+    memo.clear();
+    EXPECT_EQ(memo.hits(), 0u);
+    EXPECT_EQ(memo.misses(), 0u);
+    EXPECT_EQ(memo.size(), 0u);
+}
 
 } // namespace
 } // namespace ditile::tiling

@@ -28,9 +28,10 @@
  * --threads width, which CI exercises. `resilience` injects the given
  * fault schedule (grammar in sim/fault_model.hh), executes in degraded
  * mode, and prints the resolved schedule, the recovery log, and the
- * fault-free vs faulted headline numbers. Shared workload flags match
- * ditile_run (--scale, --snapshots, --seed, --vertices/--edges for
- * synthetic graphs).
+ * fault-free vs faulted headline numbers. The workload flags are
+ * ditile_run's, read by the same builder (tool_inputs.hh): --dataset,
+ * --scale, --snapshots, --dissimilarity, --seed, --vertices/--edges
+ * for synthetic graphs.
  */
 
 #include <algorithm>
@@ -44,44 +45,17 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
-#include "graph/datasets.hh"
-#include "graph/generator.hh"
 #include "graph/metrics.hh"
 #include "model/incremental.hh"
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
 #include "sim/isa.hh"
+#include "tool_inputs.hh"
 
 using namespace ditile;
 
 namespace {
-
-graph::DynamicGraph
-buildWorkload(const CliFlags &flags)
-{
-    if (flags.has("dataset")) {
-        graph::DatasetOptions options;
-        options.scale = flags.getDouble("scale", 0.0);
-        options.numSnapshots = static_cast<SnapshotId>(
-            flags.getInt("snapshots", 8));
-        options.seed = static_cast<std::uint64_t>(
-            flags.getInt("seed", 0));
-        return graph::makeDataset(flags.getString("dataset", "WD"),
-                                  options);
-    }
-    graph::EvolutionConfig config;
-    config.numVertices = static_cast<VertexId>(
-        flags.getInt("vertices", 2000));
-    config.numEdges = flags.getInt("edges", 16000);
-    config.numSnapshots = static_cast<SnapshotId>(
-        flags.getInt("snapshots", 8));
-    config.dissimilarity = flags.getDouble("dissimilarity", 0.10);
-    config.featureDim = static_cast<int>(flags.getInt("features",
-                                                      128));
-    config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    return graph::generateDynamicGraph(config);
-}
 
 model::AlgoKind
 algoFromFlag(const CliFlags &flags)
@@ -582,7 +556,7 @@ runTool(const CliFlags &flags)
         return diffPlans(flags.positional()[1],
                          flags.positional()[2]);
     }
-    const auto dg = buildWorkload(flags);
+    const auto dg = tools::buildWorkload(flags);
     if (command == "dataset") {
         inspectDataset(dg);
     } else if (command == "stats") {

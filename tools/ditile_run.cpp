@@ -64,70 +64,16 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
-#include "graph/datasets.hh"
-#include "graph/generator.hh"
-#include "graph/io.hh"
 #include "sim/baselines.hh"
 #include "sim/engine.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
 #include "sim/scaleout.hh"
+#include "tool_inputs.hh"
 
 using namespace ditile;
 
 namespace {
-
-graph::DynamicGraph
-buildWorkload(const CliFlags &flags)
-{
-    if (!flags.positional().empty()) {
-        return graph::readSnapshotFiles(
-            "disk", flags.positional(),
-            static_cast<int>(flags.getInt("features", 128)));
-    }
-    if (flags.has("dataset")) {
-        graph::DatasetOptions options;
-        options.scale = flags.getDouble("scale", 0.0);
-        options.numSnapshots = static_cast<SnapshotId>(
-            flags.getInt("snapshots", 8));
-        options.dissimilarity = flags.getDouble("dissimilarity", 0.0);
-        options.seed = static_cast<std::uint64_t>(
-            flags.getInt("seed", 0));
-        return graph::makeDataset(flags.getString("dataset", "WD"),
-                                  options);
-    }
-    graph::EvolutionConfig config;
-    config.name = "synthetic";
-    config.numVertices = static_cast<VertexId>(
-        flags.getInt("vertices", 2000));
-    config.numEdges = flags.getInt("edges", 16000);
-    config.numSnapshots = static_cast<SnapshotId>(
-        flags.getInt("snapshots", 8));
-    config.dissimilarity = flags.getDouble("dissimilarity", 0.10);
-    config.featureDim = static_cast<int>(flags.getInt("features",
-                                                      128));
-    config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    return graph::generateDynamicGraph(config);
-}
-
-model::DgnnConfig
-buildModel(const CliFlags &flags)
-{
-    model::DgnnConfig config;
-    const auto rnn = flags.getString("rnn", "lstm");
-    if (rnn == "gru")
-        config.rnn = model::RnnKind::Gru;
-    else if (rnn != "lstm")
-        DITILE_FATAL("unknown --rnn '", rnn, "'");
-    const auto agg = flags.getString("aggregator", "gcn");
-    if (agg == "sage")
-        config.aggregator = model::GnnAggregator::SageMean;
-    else if (agg == "gin")
-        config.aggregator = model::GnnAggregator::GinSum;
-    else if (agg != "gcn")
-        DITILE_FATAL("unknown --aggregator '", agg, "'");
-    return config;
-}
 
 std::vector<std::unique_ptr<sim::Accelerator>>
 buildAccelerators(const CliFlags &flags)
@@ -323,8 +269,8 @@ runTool(const CliFlags &flags)
 {
     ThreadPool::setGlobalThreads(
         static_cast<int>(flags.getInt("threads", 1)));
-    const auto dg = buildWorkload(flags);
-    const auto mconfig = buildModel(flags);
+    const auto dg = tools::buildWorkload(flags, flags.positional());
+    const auto mconfig = tools::buildModel(flags);
 
     const bool json = flags.getBool("json", false);
     const bool csv = flags.getBool("csv", false);
