@@ -12,6 +12,7 @@
 #include "sim/execution_plan.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -216,12 +217,20 @@ class Emitter
     {
         comma();
         out_ << jsonQuote(key) << ":[";
+        // One stream write per array: the chip-phase key serializes
+        // two vertex-long owner arrays on every scale-out lookup.
+        std::string text;
+        text.reserve(values.size() * 8);
+        char digits[24];
         for (std::size_t i = 0; i < values.size(); ++i) {
             if (i)
-                out_ << ",";
-            out_ << static_cast<long long>(values[i]);
+                text += ',';
+            const auto r = std::to_chars(
+                digits, digits + sizeof(digits),
+                static_cast<long long>(values[i]));
+            text.append(digits, r.ptr);
         }
-        out_ << "]";
+        out_ << text << "]";
     }
 
     std::ostringstream &stream() { return out_; }
@@ -298,24 +307,11 @@ parseIntArray(const JsonValue &v)
     return out;
 }
 
-} // namespace
+// ---- Section writers shared by toJson() and chipInputsJson(). ----
 
-std::string
-ExecutionPlan::toJson() const
+void
+emitHw(Emitter &e, const AcceleratorConfig &hw)
 {
-    std::ostringstream out;
-    Emitter e(out);
-    e.open();
-    // Format 2 added the "overlap" option and the derived "task_graph"
-    // section; format-1 documents still load (overlap defaults off).
-    // Format 3 adds the "scaleout" section for multi-chip plans;
-    // single-chip plans keep serializing as format 2 byte-identically.
-    e.kv("plan_format", scaleout.enabled() ? 3ll : 2ll);
-    e.kv("accelerator", acceleratorName);
-    e.kv("workload", workloadName);
-    e.kvU("workload_digest", workloadDigest);
-
-    // ---- Hardware. ----
     e.open("hw");
     e.kv("tile_rows", static_cast<long long>(hw.tileRows));
     e.kv("tile_cols", static_cast<long long>(hw.tileCols));
@@ -363,27 +359,35 @@ ExecutionPlan::toJson() const
          hw.energyTable.controlOverheadFraction);
     e.close();
     e.close();
+}
 
-    // ---- Model shape. ----
+void
+emitModel(Emitter &e, const model::DgnnConfig &config)
+{
     e.open("model");
-    e.intArray("gcn_dims", modelConfig.gcnDims);
-    e.kv("lstm_hidden", static_cast<long long>(modelConfig.lstmHidden));
-    e.kv("bytes_per_value",
-         static_cast<long long>(modelConfig.bytesPerValue));
-    e.kv("aggregator", aggregatorToken(modelConfig.aggregator));
-    e.kv("rnn", rnnToken(modelConfig.rnn));
-    e.kv("precision", precisionToken(modelConfig.precision));
+    e.intArray("gcn_dims", config.gcnDims);
+    e.kv("lstm_hidden", static_cast<long long>(config.lstmHidden));
+    e.kv("bytes_per_value", static_cast<long long>(config.bytesPerValue));
+    e.kv("aggregator", aggregatorToken(config.aggregator));
+    e.kv("rnn", rnnToken(config.rnn));
+    e.kv("precision", precisionToken(config.precision));
     e.close();
+}
 
-    // ---- Mapping. ----
+void
+emitMapping(Emitter &e, const MappingSpec &mapping)
+{
     e.open("mapping");
     e.kv("spatial_only", mapping.spatialOnly);
     emitPartition(e, "row_partition", mapping.rowPartition);
     e.intArray("snapshot_column", mapping.snapshotColumn);
     emitPartition(e, "tile_partition", mapping.tilePartition);
     e.close();
+}
 
-    // ---- Engine options. ----
+void
+emitOptions(Emitter &e, const EngineOptions &options)
+{
     e.open("options");
     e.kv("algo", algoToken(options.algo));
     e.kv("cross_fetch_fraction",
@@ -407,6 +411,54 @@ ExecutionPlan::toJson() const
     e.kv("adaptive_relink", options.adaptiveRelink);
     e.kv("overlap", options.overlap);
     e.close();
+}
+
+void
+emitFaults(Emitter &e, const FaultSpec &faults)
+{
+    std::ostringstream &out = e.stream();
+    e.open("faults");
+    e.kvU("seed", faults.seed);
+    e.kv("dram_retry_fraction", faults.dramRetryFraction);
+    e.kvU("noc_backoff", faults.nocBackoffCycles);
+    e.kv("noc_retries", static_cast<long long>(faults.nocMaxRetries));
+    e.comma();
+    out << jsonQuote("events") << ":[";
+    for (std::size_t i = 0; i < faults.events.size(); ++i) {
+        const FaultEvent &ev = faults.events[i];
+        if (i)
+            out << ",";
+        out << "{\"kind\":" << jsonQuote(faultKindToken(ev.kind))
+            << ",\"snapshot\":" << ev.snapshot << ",\"row\":" << ev.row
+            << ",\"col\":" << ev.col << ",\"channel\":" << ev.channel
+            << "}";
+    }
+    out << "]";
+    e.close();
+}
+
+} // namespace
+
+std::string
+ExecutionPlan::toJson() const
+{
+    std::ostringstream out;
+    Emitter e(out);
+    e.open();
+    // Format 2 added the "overlap" option and the derived "task_graph"
+    // section; format-1 documents still load (overlap defaults off).
+    // Format 3 adds the "scaleout" section for multi-chip plans;
+    // single-chip plans keep serializing as format 2 byte-identically.
+    e.kv("plan_format", scaleout.enabled() ? 3ll : 2ll);
+    e.kv("accelerator", acceleratorName);
+    e.kv("workload", workloadName);
+    e.kvU("workload_digest", workloadDigest);
+
+    // ---- Hardware, model shape, mapping and engine options. ----
+    emitHw(e, hw);
+    emitModel(e, modelConfig);
+    emitMapping(e, mapping);
+    emitOptions(e, options);
 
     // ---- Algorithm-1 strategy. ----
     e.open("parallel");
@@ -459,24 +511,7 @@ ExecutionPlan::toJson() const
     e.close();
 
     // ---- Fault-injection schedule. ----
-    e.open("faults");
-    e.kvU("seed", faults.seed);
-    e.kv("dram_retry_fraction", faults.dramRetryFraction);
-    e.kvU("noc_backoff", faults.nocBackoffCycles);
-    e.kv("noc_retries", static_cast<long long>(faults.nocMaxRetries));
-    e.comma();
-    out << jsonQuote("events") << ":[";
-    for (std::size_t i = 0; i < faults.events.size(); ++i) {
-        const FaultEvent &ev = faults.events[i];
-        if (i)
-            out << ",";
-        out << "{\"kind\":" << jsonQuote(faultKindToken(ev.kind))
-            << ",\"snapshot\":" << ev.snapshot << ",\"row\":" << ev.row
-            << ",\"col\":" << ev.col << ",\"channel\":" << ev.channel
-            << "}";
-    }
-    out << "]";
-    e.close();
+    emitFaults(e, faults);
 
     // ---- Multi-chip scale-out (format 3 only). ----
     if (scaleout.enabled()) {
@@ -565,6 +600,22 @@ ExecutionPlan::toJson() const
         se.close();
     }
     out << "]";
+    e.close();
+    return out.str();
+}
+
+std::string
+ExecutionPlan::chipInputsJson() const
+{
+    std::ostringstream out;
+    Emitter e(out);
+    e.open();
+    e.kv("accelerator", acceleratorName);
+    emitHw(e, hw);
+    emitModel(e, modelConfig);
+    emitMapping(e, mapping);
+    emitOptions(e, options);
+    emitFaults(e, faults);
     e.close();
     return out.str();
 }

@@ -137,6 +137,14 @@ struct ExecutionPlan
     std::string toJson() const;
 
     /**
+     * Canonical JSON of the sections one chip's run reads: the
+     * accelerator name, hw, model, mapping, options and faults,
+     * written by toJson()'s own section writers. Part of the
+     * scale-out chip-phase key (sim/scaleout.hh).
+     */
+    std::string chipInputsJson() const;
+
+    /**
      * Rebuild a plan from toJson() output. Throws std::runtime_error
      * on malformed or incomplete documents. Round-trips bit-exactly:
      * executing the parsed plan reproduces the original RunResult.

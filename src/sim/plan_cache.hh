@@ -12,11 +12,25 @@
  * constructed but identical workloads (e.g. sweep grid points that
  * regenerate the same dataset).
  *
- * The memo itself is one common/content_cache.hh ContentCache, the
- * same rule set the workload digests and the communication-model
- * memo use: lookups lock, misses plan outside the lock (the first
- * finished writer wins; losers reuse the published set), and an
- * optional capacity is enforced only at the caller's serial points.
+ * The cache holds two common/content_cache.hh ContentCache instances,
+ * the same rule set the workload digests and the communication-model
+ * memo use: lookups lock, misses build outside the lock (the first
+ * finished writer wins; losers reuse the published value).
+ *
+ *   - "plan-cache" (metrics "cache.plan.*"): the snapshot-plan sets
+ *     above, with an optional capacity enforced only at the caller's
+ *     serial points.
+ *   - "chip-phase" (metrics "cache.chip_phase.*"): the link-free half
+ *     of a multi-chip run (sim::ChipPhase, see sim/scaleout.hh) —
+ *     every chip's RunResult and the egress counts — keyed on the
+ *     graph's structure hash, the scale-out spec without its link,
+ *     the chip-relevant plan sections and the tracer's plane states.
+ *     A link sweep over one (graph, chips, plan) therefore runs the
+ *     chips once. Unbounded (setCapacity() bounds only the plan
+ *     sets); only runScaleOut() fills it, so single-chip callers —
+ *     ditile_serve among them — never grow it.
+ *
+ * hits(), misses() and size() sum both instances.
  */
 
 #ifndef DITILE_SIM_PLAN_CACHE_HH
@@ -32,10 +46,14 @@
 
 namespace ditile::sim {
 
+struct ChipPhase;
+
 class PlanCache
 {
   public:
     using SnapshotPlans = std::vector<model::SnapshotPlan>;
+    using ChipPhaseCache =
+        ContentCache<std::uint64_t, std::shared_ptr<const ChipPhase>>;
 
     /** Build a plan set directly, bypassing any cache. */
     static std::shared_ptr<const SnapshotPlans>
@@ -78,15 +96,35 @@ class PlanCache
         return cache_.evictToCapacity();
     }
 
-    std::uint64_t hits() const { return cache_.hits(); }
-    std::uint64_t misses() const { return cache_.misses(); }
+    /** The scale-out chip-phase memo (see file comment). */
+    ChipPhaseCache &chipPhases() { return chipPhases_; }
+
+    std::uint64_t
+    hits() const
+    {
+        return cache_.hits() + chipPhases_.hits();
+    }
+
+    std::uint64_t
+    misses() const
+    {
+        return cache_.misses() + chipPhases_.misses();
+    }
+
     std::uint64_t evictions() const { return cache_.evictions(); }
-    std::size_t size() const { return cache_.size(); }
-    void clear() { cache_.clear(); }
+    std::size_t size() const { return cache_.size() + chipPhases_.size(); }
+
+    void
+    clear()
+    {
+        cache_.clear();
+        chipPhases_.clear();
+    }
 
   private:
     ContentCache<std::uint64_t, std::shared_ptr<const SnapshotPlans>>
         cache_{"plan-cache", "cache.plan"};
+    ChipPhaseCache chipPhases_{"chip-phase", "cache.chip_phase"};
 };
 
 /**

@@ -1,12 +1,13 @@
 /**
  * @file
- * ChipCluster execution: shard, replay per chip, schedule the cluster
- * task graph.
+ * ChipCluster execution: shard and replay per chip (the memoizable
+ * chip phase), then schedule the cluster task graph (the link phase).
  */
 
 #include "sim/scaleout.hh"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -79,6 +80,69 @@ restrictPartition(const graph::VertexPartition &global,
             shard.assign(static_cast<VertexId>(i), owner);
     }
     return shard;
+}
+
+/** The chip phase: build, plan and execute the chips serially,
+ * dropping each shard before the next. The chips share
+ * `shard_cache`, keyed per shard by the shard graph's structure
+ * hash, so equal shards plan once. */
+std::shared_ptr<const ChipPhase>
+runChipPhase(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
+             PlanCache &shard_cache)
+{
+    ChipShards shards(dg, plan.scaleout);
+    auto phase = std::make_shared<ChipPhase>();
+    phase->chips.reserve(static_cast<std::size_t>(shards.chips()));
+    const std::uint64_t track_base = Tracer::trackBase();
+    for (int c = 0; c < shards.chips(); ++c) {
+        const graph::DynamicGraph shard = shards.build(c);
+        MappingSpec shard_mapping;
+        shard_mapping.spatialOnly = plan.mapping.spatialOnly;
+        shard_mapping.snapshotColumn = plan.mapping.snapshotColumn;
+        shard_mapping.rowPartition =
+            restrictPartition(plan.mapping.rowPartition,
+                              shards.globalIds(c));
+        shard_mapping.tilePartition =
+            restrictPartition(plan.mapping.tilePartition,
+                              shards.globalIds(c));
+
+        // Disjoint trace track group per chip, restored on exit.
+        const Tracer::TrackBaseScope track_scope(
+            track_base +
+            static_cast<std::uint64_t>(c) * Tracer::kTracksPerRun);
+        ExecutionPlan chip_plan = buildEnginePlan(
+            shard, plan.modelConfig, plan.hw, shard_mapping,
+            plan.options, plan.acceleratorName, &shard_cache);
+        chip_plan.faults = plan.faults;
+        RunResult r = executePlan(shard, chip_plan);
+        r.taskGraph = TaskGraphStats{};
+        phase->chips.push_back(std::move(r));
+    }
+    phase->egressAdj = shards.egressAdj();
+    return phase;
+}
+
+/** Content key of everything runChipPhase reads (see runScaleOut). */
+std::uint64_t
+chipPhaseKey(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 1099511628211ull;
+    };
+    const ScaleOutSpec &spec = plan.scaleout;
+    const Tracer &tracer = Tracer::global();
+    mix(graph::structureHash(dg));
+    mix(static_cast<std::uint64_t>(spec.chips));
+    mix(static_cast<std::uint64_t>(spec.chunkSpan));
+    mix(spec.chipOfChunk.size());
+    for (const int c : spec.chipOfChunk)
+        mix(static_cast<std::uint64_t>(c));
+    mix(tracer.traceEnabled() ? 1 : 0);
+    mix(tracer.metricsEnabled() ? 1 : 0);
+    for (const char c : plan.chipInputsJson())
+        mix(static_cast<unsigned char>(c));
+    return h;
 }
 
 } // namespace
@@ -358,40 +422,19 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const int chips = spec.chips;
     const auto chips_sz = static_cast<std::size_t>(chips);
     const SnapshotId num_snapshots = dg.numSnapshots();
-    ChipShards shards(dg, spec);
 
-    // ---- Build, plan and execute the M per-chip shards serially,
-    // dropping each before the next. Shards share `cache` (or a
-    // run-local one), keyed per shard by the shard graph's structure
-    // hash, so equal shards plan once.
-    PlanCache local_cache;
-    PlanCache *shard_cache = cache ? cache : &local_cache;
-    const std::uint64_t track_base = Tracer::trackBase();
-    std::vector<RunResult> chip_results;
-    chip_results.reserve(chips_sz);
-    for (int c = 0; c < chips; ++c) {
-        const graph::DynamicGraph shard = shards.build(c);
-        MappingSpec shard_mapping;
-        shard_mapping.spatialOnly = plan.mapping.spatialOnly;
-        shard_mapping.snapshotColumn = plan.mapping.snapshotColumn;
-        shard_mapping.rowPartition =
-            restrictPartition(plan.mapping.rowPartition,
-                              shards.globalIds(c));
-        shard_mapping.tilePartition =
-            restrictPartition(plan.mapping.tilePartition,
-                              shards.globalIds(c));
-
-        // Disjoint trace track group per chip, restored on exit.
-        const Tracer::TrackBaseScope track_scope(
-            track_base +
-            static_cast<std::uint64_t>(c) * Tracer::kTracksPerRun);
-        ExecutionPlan chip_plan = buildEnginePlan(
-            shard, plan.modelConfig, plan.hw, shard_mapping,
-            plan.options, plan.acceleratorName, shard_cache);
-        chip_plan.faults = plan.faults;
-        chip_results.push_back(executePlan(shard, chip_plan));
+    // ---- Chip phase, memoized in `cache` when there is one.
+    std::shared_ptr<const ChipPhase> phase;
+    if (cache) {
+        phase = cache->chipPhases().obtain(chipPhaseKey(dg, plan), [&] {
+            return runChipPhase(dg, plan, *cache);
+        });
+    } else {
+        PlanCache local_cache;
+        phase = runChipPhase(dg, plan, local_cache);
     }
-    const std::vector<std::uint64_t> egress_adj = shards.egressAdj();
+    const std::vector<RunResult> &chip_results = phase->chips;
+    const std::vector<std::uint64_t> &egress_adj = phase->egressAdj;
 
     // ---- Cluster timeline: annotate the cluster DAG and schedule.
     // ChipCompute durations are the chip's monotonized per-snapshot

@@ -21,12 +21,19 @@
  * --no-overlap the comm nodes gain barrier edges and the timeline
  * degrades to compute-all / exchange-all phases (never faster).
  *
- * Host cost: O(V + changes) to index and bucket the deltas, then per
- * chip O(shard V + shard adjacency + touched degree) per snapshot to
- * build its shard, plus that chip's plan and execute. Chips run one at
- * a time (build, plan, execute, drop): executePlan already spreads a
- * chip's snapshots over the pool, so running chips in parallel gained
- * nothing when measured and raised peak RSS (ROADMAP item 2(c)).
+ * Host cost: a run has two phases. The chip phase costs O(V +
+ * changes) to index and bucket the deltas, then per chip O(shard V +
+ * shard adjacency + touched degree) per snapshot to build its shard,
+ * plus that chip's plan and execute. It reads the graph, the chip
+ * count, the recorded assignment and the plan, but never the link,
+ * so its output (ChipPhase) is memoized in the caller's PlanCache:
+ * a sweep over link bandwidth or latency runs the chips once per
+ * (graph, chips, plan). The link phase annotates and schedules the
+ * cluster DAG (O(T * chips^2) edges) and merges the chip results.
+ * Chips run one at a time (build, plan, execute, drop): executePlan
+ * already spreads a chip's snapshots over the pool, so running chips
+ * in parallel gained nothing when measured and raised peak RSS
+ * (ROADMAP item 2(c)).
  *
  * Determinism: chips execute in serial chip order (each chip's engine
  * parallelism is already bit-identical at any width), the partitioner
@@ -46,11 +53,11 @@
 #include "common/types.hh"
 #include "graph/dynamic_graph.hh"
 #include "noc/interchip.hh"
+#include "sim/run_result.hh"
 
 namespace ditile::sim {
 
 struct ExecutionPlan;
-struct RunResult;
 struct TaskGraph;
 class PlanCache;
 
@@ -147,6 +154,21 @@ class ChipShards
 };
 
 /**
+ * The link-free half of a chips > 1 run: what runScaleOut's chip
+ * phase hands its link phase, and the value the PlanCache's
+ * chip-phase memo holds.
+ */
+struct ChipPhase
+{
+    /** Chip c's RunResult, without its own task-graph stats (the
+     * cluster merge never reads them). */
+    std::vector<RunResult> chips;
+
+    /** ChipShards::egressAdj(), row-major [T * chips]. */
+    std::vector<std::uint64_t> egressAdj;
+};
+
+/**
  * Attach a scale-out spec to a plan: runs the chunk partitioner over
  * the workload and records the assignment. chips <= 1 clears the spec
  * (plan serializes and executes exactly as before). Throws InputError
@@ -156,10 +178,22 @@ void applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
                    int chips, const noc::InterChipLinkConfig &link);
 
 /**
- * Execute a chips > 1 plan as a ChipCluster (see file comment).
- * `cache` (optional) shares the per-shard snapshot-plan sets across
- * chips and across repeated runs; when null a run-local cache still
- * shares them across this run's chips.
+ * Execute a chips > 1 plan as a ChipCluster (see file comment) in two
+ * phases. The chip phase builds every chip's shard, plans it and
+ * executes it, and takes the egress counts. The link phase annotates
+ * the cluster DAG with noc::InterChipLink durations, schedules it and
+ * merges the chip results.
+ *
+ * With a `cache`, the chip phase is looked up in its chip-phase memo
+ * first. The key is the graph's structure hash; the spec's chips,
+ * chunkSpan and chipOfChunk (not its link); the plan's
+ * chipInputsJson(); and the tracer's trace and metrics plane states
+ * (metrics-on runs carry extra stats). On a miss the chips share
+ * `cache`'s snapshot-plan sets, keyed per shard by structure hash. A
+ * hit skips the chips, so their engine spans and metric bumps are
+ * absent from that run's trace and metrics. With a null cache every
+ * call runs the chips, sharing a run-local plan cache. A spec that
+ * throws InputError publishes nothing.
  */
 RunResult runScaleOut(const graph::DynamicGraph &dg,
                       const ExecutionPlan &plan, PlanCache *cache);

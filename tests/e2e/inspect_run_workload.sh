@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# ditile_inspect and ditile_run read the workload flags into the same
-# graph: `ditile_inspect plan --dump` and `ditile_run --plan-out`
-# (staged, as the library default is) write byte-identical plan JSON
-# for the same flags, with and without --dissimilarity.
+# ditile_inspect and ditile_run read the workload and model flags into
+# the same graph and model: `ditile_inspect plan --dump` and
+# `ditile_run --plan-out` (staged, as the library default is) write
+# byte-identical plan JSON for the same flags, with and without
+# --dissimilarity, --rnn and --aggregator.
 #
 # Usage: inspect_run_workload.sh PATH/TO/ditile_inspect PATH/TO/ditile_run
 # Registered with ctest under the "e2e" label.
@@ -15,7 +16,7 @@ trap 'rm -rf "$work"' EXIT
 cd "$work"
 wd=(--dataset=WD --scale=0.05 --snapshots=4)
 
-for extra in "" --dissimilarity=0.02; do
+for extra in "" --dissimilarity=0.02 --rnn=gru --aggregator=sage; do
   "$inspect" plan --dump=inspect.json "${wd[@]}" $extra 2> /dev/null
   "$run" "${wd[@]}" $extra --no-overlap --plan-out=run.json \
     --csv > /dev/null

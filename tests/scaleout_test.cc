@@ -5,11 +5,14 @@
  * cluster schedules, chunk-partitioner balance invariants, format-3
  * plan round trips (with format-2 back-compat), InterChipLink cycle
  * math, the cluster overlap-vs-staged makespan bound, delta-built
- * shards against the edge-list reference, and pinned cluster results.
+ * shards against the edge-list reference, pinned cluster results, and
+ * the PlanCache's chip-phase memo (one chip phase per link sweep, a
+ * miss for every input it reads, nothing published on error).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
 #include "noc/interchip.hh"
@@ -545,6 +549,191 @@ TEST(ScaleOutGolden, ClusterResultsArePinned)
         }
     }
     EXPECT_EQ(actual.str(), kGolden);
+}
+
+
+// ---------------------------------------------------------------------
+// Chip-phase memo: a warm run through a shared PlanCache equals a cold
+// nullptr-cache run field by field, a link sweep runs the chips once,
+// and every input of the chip phase is part of its key.
+// ---------------------------------------------------------------------
+
+void
+expectSameStats(const StatSet &a, const StatSet &b)
+{
+    ASSERT_EQ(a.names(), b.names());
+    for (const auto &name : a.names())
+        EXPECT_EQ(a.get(name), b.get(name)) << name;
+}
+
+/** expectSameResult plus every stat, every trace row field, the
+ * resilience totals and the cluster task-graph stats. */
+void
+expectSameRun(const sim::RunResult &a, const sim::RunResult &b)
+{
+    expectSameResult(a, b);
+    EXPECT_EQ(a.acceleratorName, b.acceleratorName);
+    EXPECT_EQ(a.workloadName, b.workloadName);
+    expectSameStats(a.stats, b.stats);
+    for (std::size_t t = 0; t < a.trace.size(); ++t) {
+        const auto &x = a.trace[t];
+        const auto &y = b.trace[t];
+        EXPECT_EQ(x.snapshot, y.snapshot) << "row " << t;
+        EXPECT_EQ(x.column, y.column) << "row " << t;
+        EXPECT_EQ(x.dramDone, y.dramDone) << "row " << t;
+        EXPECT_EQ(x.gnnComputeCycles, y.gnnComputeCycles) << "row " << t;
+        EXPECT_EQ(x.rnnComputeCycles, y.rnnComputeCycles) << "row " << t;
+        EXPECT_EQ(x.spatialCommCycles, y.spatialCommCycles)
+            << "row " << t;
+        EXPECT_EQ(x.temporalCommCycles, y.temporalCommCycles)
+            << "row " << t;
+        EXPECT_EQ(x.gnnDone, y.gnnDone) << "row " << t;
+    }
+    EXPECT_EQ(a.resilience.enabled, b.resilience.enabled);
+    expectSameStats(a.resilience.toStats(), b.resilience.toStats());
+    EXPECT_EQ(a.resilience.events.size(), b.resilience.events.size());
+    const auto &ta = a.taskGraph;
+    const auto &tb = b.taskGraph;
+    EXPECT_EQ(ta.enabled, tb.enabled);
+    EXPECT_EQ(ta.numTasks, tb.numTasks);
+    EXPECT_EQ(ta.numEdges, tb.numEdges);
+    EXPECT_EQ(ta.makespan, tb.makespan);
+    ASSERT_EQ(ta.lanes.size(), tb.lanes.size());
+    for (std::size_t i = 0; i < ta.lanes.size(); ++i) {
+        EXPECT_EQ(ta.lanes[i].name, tb.lanes[i].name);
+        EXPECT_EQ(ta.lanes[i].tasks, tb.lanes[i].tasks);
+        EXPECT_EQ(ta.lanes[i].busyCycles, tb.lanes[i].busyCycles);
+    }
+    ASSERT_EQ(ta.tasks.size(), tb.tasks.size());
+    for (std::size_t i = 0; i < ta.tasks.size(); ++i) {
+        EXPECT_EQ(ta.tasks[i].id, tb.tasks[i].id);
+        EXPECT_EQ(ta.tasks[i].kind, tb.tasks[i].kind);
+        EXPECT_EQ(ta.tasks[i].lane, tb.tasks[i].lane);
+        EXPECT_EQ(ta.tasks[i].start, tb.tasks[i].start);
+        EXPECT_EQ(ta.tasks[i].finish, tb.tasks[i].finish);
+        EXPECT_EQ(ta.tasks[i].critical, tb.tasks[i].critical);
+    }
+}
+
+/** The fault schedule of ScaleOutGolden.ClusterResultsArePinned. */
+const char *const kClusterFaults =
+    "tile@1:r3c*;vlink@0:r1c2;bypass-open@1:c5;dram@2:ch*";
+
+TEST(ScaleOutMemo, LinkSweepReusesChipPhase)
+{
+    const auto dg = scaleoutWorkload();
+    std::vector<noc::InterChipLinkConfig> links;
+    for (const double gbps : {25.0, 100.0, 400.0}) {
+        noc::InterChipLinkConfig link;
+        link.bandwidthGbps = gbps;
+        links.push_back(link);
+    }
+    for (const double ns : {50.0, 2000.0}) {
+        noc::InterChipLinkConfig link;
+        link.latencyNs = ns;
+        links.push_back(link);
+    }
+    for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "faulted=" << faulted);
+        sim::PlanCache cache;
+        auto plan = planFor(dg, 4, &cache);
+        if (faulted)
+            plan.faults = sim::FaultSpec::parse(kClusterFaults);
+        std::vector<Cycle> makespans;
+        for (const auto &link : links) {
+            plan.scaleout.link = link;
+            const auto warm = sim::executePlan(dg, plan, &cache);
+            expectSameRun(warm, sim::executePlan(dg, plan));
+            makespans.push_back(warm.totalCycles);
+        }
+        // The link really moves the cluster timeline.
+        EXPECT_NE(makespans.front(), makespans[2]);
+        EXPECT_EQ(cache.chipPhases().misses(), 1u);
+        EXPECT_EQ(cache.chipPhases().hits(), links.size() - 1);
+        EXPECT_EQ(cache.chipPhases().size(), 1u);
+    }
+}
+
+TEST(ScaleOutMemo, ChipPhaseKeyCoversEveryInput)
+{
+    const auto dg = scaleoutWorkload();
+    sim::PlanCache cache;
+    const auto base = planFor(dg, 4, &cache);
+    sim::executePlan(dg, base, &cache);
+    ASSERT_EQ(cache.chipPhases().misses(), 1u);
+
+    struct Flip
+    {
+        const char *name;
+        std::function<void(sim::ExecutionPlan &)> apply;
+    };
+    const std::vector<Flip> flips = {
+        {"chips",
+         [&](sim::ExecutionPlan &p) {
+             sim::applyScaleOut(p, dg, 3, noc::InterChipLinkConfig{});
+         }},
+        {"chipOfChunk",
+         [](sim::ExecutionPlan &p) {
+             int &chip = p.scaleout.chipOfChunk.front();
+             chip = (chip + 1) % p.scaleout.chips;
+         }},
+        {"overlap",
+         [](sim::ExecutionPlan &p) {
+             p.options.overlap = !p.options.overlap;
+         }},
+        {"faults",
+         [](sim::ExecutionPlan &p) {
+             p.faults = sim::FaultSpec::parse(kClusterFaults);
+         }},
+        {"mapping owner",
+         [](sim::ExecutionPlan &p) {
+             auto &part = p.mapping.spatialOnly
+                 ? p.mapping.tilePartition : p.mapping.rowPartition;
+             ASSERT_GT(part.numParts(), 1);
+             part.assign(0, (part.owner(0) + 1) % part.numParts());
+         }},
+        {"acceleratorName",
+         [](sim::ExecutionPlan &p) { p.acceleratorName += "-renamed"; }},
+        {"hw",
+         [](sim::ExecutionPlan &p) {
+             p.hw.perSnapshotConfigCycles += 100;
+         }},
+        {"modelConfig",
+         [](sim::ExecutionPlan &p) { p.modelConfig.lstmHidden *= 2; }},
+        {"metrics plane", [](sim::ExecutionPlan &) {}},
+    };
+    for (const Flip &flip : flips) {
+        SCOPED_TRACE(flip.name);
+        auto plan = base;
+        flip.apply(plan);
+        const bool metrics = std::string(flip.name) == "metrics plane";
+        if (metrics)
+            Tracer::global().enable(false, true);
+        const auto misses = cache.chipPhases().misses();
+        const auto hits = cache.chipPhases().hits();
+        const auto warm = sim::executePlan(dg, plan, &cache);
+        EXPECT_EQ(cache.chipPhases().misses(), misses + 1);
+        EXPECT_EQ(cache.chipPhases().hits(), hits);
+        expectSameRun(warm, sim::executePlan(dg, plan));
+        if (metrics)
+            Tracer::global().reset();
+    }
+    // The unflipped plan is still a hit.
+    const auto hits = cache.chipPhases().hits();
+    sim::executePlan(dg, base, &cache);
+    EXPECT_EQ(cache.chipPhases().hits(), hits + 1);
+}
+
+TEST(ScaleOutMemo, ThrowingSpecPublishesNothing)
+{
+    const auto dg = scaleoutWorkload();
+    sim::PlanCache cache;
+    auto plan = planFor(dg, 4, &cache);
+    plan.scaleout.chipOfChunk.front() = plan.scaleout.chips;
+    EXPECT_THROW(sim::executePlan(dg, plan, &cache), InputError);
+    EXPECT_THROW(sim::executePlan(dg, plan, &cache), InputError);
+    EXPECT_EQ(cache.chipPhases().size(), 0u);
+    EXPECT_EQ(cache.chipPhases().hits(), 0u);
 }
 
 } // namespace

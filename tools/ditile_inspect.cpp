@@ -31,7 +31,8 @@
  * fault-free vs faulted headline numbers. The workload flags are
  * ditile_run's, read by the same builder (tool_inputs.hh): --dataset,
  * --scale, --snapshots, --dissimilarity, --seed, --vertices/--edges
- * for synthetic graphs.
+ * for synthetic graphs; so are the model flags --rnn and
+ * --aggregator, which every planning subcommand honours.
  */
 
 #include <algorithm>
@@ -123,9 +124,9 @@ inspectStats(const graph::DynamicGraph &dg)
 }
 
 void
-inspectPlan(const graph::DynamicGraph &dg, model::AlgoKind algo)
+inspectPlan(const graph::DynamicGraph &dg,
+            const model::DgnnConfig &mconfig, model::AlgoKind algo)
 {
-    const model::DgnnConfig mconfig;
     model::IncrementalPlanner planner(dg, mconfig, algo);
     Table table(std::string("Execution plan: ") +
                 model::algoName(algo));
@@ -175,9 +176,9 @@ buildAccelerator(const CliFlags &flags)
 }
 
 void
-dumpPlan(const graph::DynamicGraph &dg, const CliFlags &flags)
+dumpPlan(const graph::DynamicGraph &dg, const model::DgnnConfig &mconfig,
+         const CliFlags &flags)
 {
-    const model::DgnnConfig mconfig;
     auto accel = buildAccelerator(flags);
     const auto plan = accel->plan(dg, mconfig);
     const std::string json = plan.toJson();
@@ -202,9 +203,9 @@ dumpPlan(const graph::DynamicGraph &dg, const CliFlags &flags)
  * scheduler, so the dump is byte-identical at any thread width.
  */
 void
-dumpTasks(const graph::DynamicGraph &dg, const CliFlags &flags)
+dumpTasks(const graph::DynamicGraph &dg, const model::DgnnConfig &mconfig,
+          const CliFlags &flags)
 {
-    const model::DgnnConfig mconfig;
     auto accel = buildAccelerator(flags);
     auto plan = accel->plan(dg, mconfig);
     plan.options.overlap = true;
@@ -354,10 +355,10 @@ diffPlans(const std::string &path_a, const std::string &path_b)
 }
 
 void
-inspectMapping(const graph::DynamicGraph &dg)
+inspectMapping(const graph::DynamicGraph &dg,
+               const model::DgnnConfig &mconfig)
 {
     core::DiTileAccelerator accel;
-    const model::DgnnConfig mconfig;
     accel.run(dg, mconfig);
     const auto &plan = accel.lastPlan();
     const auto &mapping = accel.lastMapping();
@@ -383,7 +384,9 @@ inspectMapping(const graph::DynamicGraph &dg)
 }
 
 void
-inspectResilience(const graph::DynamicGraph &dg, const CliFlags &flags)
+inspectResilience(const graph::DynamicGraph &dg,
+                  const model::DgnnConfig &mconfig,
+                  const CliFlags &flags)
 {
     const auto spec =
         sim::FaultSpec::parse(flags.getString("faults", ""));
@@ -391,7 +394,6 @@ inspectResilience(const graph::DynamicGraph &dg, const CliFlags &flags)
         DITILE_FATAL("resilience needs a non-empty --faults=SPEC "
                      "(grammar in sim/fault_model.hh)");
     }
-    const model::DgnnConfig mconfig;
     auto accel = buildAccelerator(flags);
 
     auto plan = accel->plan(dg, mconfig);
@@ -464,9 +466,9 @@ inspectResilience(const graph::DynamicGraph &dg, const CliFlags &flags)
 }
 
 void
-inspectProgram(const graph::DynamicGraph &dg, bool verbose)
+inspectProgram(const graph::DynamicGraph &dg,
+               const model::DgnnConfig &mconfig, bool verbose)
 {
-    const model::DgnnConfig mconfig;
     model::IncrementalPlanner planner(dg, mconfig,
                                       model::AlgoKind::DiTileAlg);
     const auto &plan = planner.plan(
@@ -557,23 +559,24 @@ runTool(const CliFlags &flags)
                          flags.positional()[2]);
     }
     const auto dg = tools::buildWorkload(flags);
+    const auto mconfig = tools::buildModel(flags);
     if (command == "dataset") {
         inspectDataset(dg);
     } else if (command == "stats") {
         inspectStats(dg);
     } else if (command == "plan") {
         if (flags.has("dump"))
-            dumpPlan(dg, flags);
+            dumpPlan(dg, mconfig, flags);
         else if (flags.has("tasks"))
-            dumpTasks(dg, flags);
+            dumpTasks(dg, mconfig, flags);
         else
-            inspectPlan(dg, algoFromFlag(flags));
+            inspectPlan(dg, mconfig, algoFromFlag(flags));
     } else if (command == "mapping") {
-        inspectMapping(dg);
+        inspectMapping(dg, mconfig);
     } else if (command == "program") {
-        inspectProgram(dg, flags.getBool("verbose", false));
+        inspectProgram(dg, mconfig, flags.getBool("verbose", false));
     } else if (command == "resilience") {
-        inspectResilience(dg, flags);
+        inspectResilience(dg, mconfig, flags);
     } else {
         DITILE_FATAL("unknown command '", command, "'");
     }

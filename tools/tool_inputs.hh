@@ -7,7 +7,7 @@
  *     --dataset=PM|RD|MB|TW|WD|FK --scale=F   (Table-1 workloads)
  *     --vertices=N --edges=M --features=F     (synthetic graph)
  *     --dissimilarity=D --snapshots=T --seed=S
- *   buildModel: ditile_run and ditile_serve
+ *   buildModel: ditile_run, ditile_serve and ditile_inspect
  *     --rnn=lstm|gru --aggregator=gcn|sage|gin
  */
 
